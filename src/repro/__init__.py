@@ -13,13 +13,7 @@ The public surface is the :mod:`repro.api` façade, re-exported here::
     solution = Solver("manthan3").solve(problem, timeout=60)
     if solution.synthesized:
         assert solution.certify().valid
-
-The pre-façade entry points (``repro.synthesize``, ``repro.Manthan3``)
-still work but emit :class:`DeprecationWarning`\\ s naming their
-replacements.
 """
-
-import warnings
 
 from repro import api
 from repro.api import (
@@ -59,11 +53,9 @@ __all__ = [
     "solve",
     "solve_batch",
     # engine types and baselines
-    "Manthan3",
     "Manthan3Config",
     "SynthesisResult",
     "Status",
-    "synthesize",
     "ExpansionSynthesizer",
     "PedantLikeSynthesizer",
     "SkolemCompositionSynthesizer",
@@ -79,30 +71,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def _deprecated_synthesize(instance, config=None, timeout=None):
-    """Shim for the pre-façade ``repro.synthesize``; routes through
-    :func:`repro.api.solve` and unwraps the raw result."""
-    solution = api.solve(instance, config=config, timeout=timeout)
-    return solution.result
-
-
-def __getattr__(name):
-    # Deprecated entry points stay importable but warn, and route
-    # through the façade.  Everything else is bound above.
-    if name == "synthesize":
-        warnings.warn(
-            "repro.synthesize is deprecated; use repro.api.solve (or "
-            "Solver('manthan3').solve) which returns a Solution",
-            DeprecationWarning, stacklevel=2)
-        return _deprecated_synthesize
-    if name == "Manthan3":
-        warnings.warn(
-            "importing Manthan3 from the package root is deprecated; "
-            "build a repro.api.Solver('manthan3') handle instead (the "
-            "engine class itself remains at repro.core.Manthan3)",
-            DeprecationWarning, stacklevel=2)
-        from repro.core import Manthan3
-        return Manthan3
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))

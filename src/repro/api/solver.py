@@ -317,9 +317,11 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
     ``progress`` is called with each finished
     :class:`~repro.portfolio.runner.RunRecord` (resumed records load
     silently, matching ``run_campaign``).  ``max_retries``/
-    ``retry_backoff`` re-run killed or crashed pool jobs, and
-    ``memory_limit_mb`` caps each worker's address space — the
-    resilience knobs of ``run_campaign``, passed through verbatim.
+    ``retry_backoff`` re-run killed or crashed jobs, and
+    ``memory_limit_mb`` caps each job's address space — the
+    resilience knobs of ``run_campaign``, passed through verbatim to
+    pool and elastic jobs alike (``jobs=1`` runs in-process, where
+    they do not apply).
     Returns a :class:`BatchResult`.
 
     ``solution_cache`` (a :class:`~repro.cache.store.SolutionCache` or
@@ -376,7 +378,7 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
                         pass  # observation must not sink the campaign
 
     if elastic:
-        from repro.portfolio.elastic import run_elastic_worker
+        from repro.portfolio.elastic import ElasticWorker, merge_shards
         from repro.portfolio.store import CampaignStore
 
         if store is None:
@@ -392,17 +394,17 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
                 "every worker can rebuild them; offending: %r" % impure)
         store_path = store.path if isinstance(store, CampaignStore) \
             else store
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             [p.instance for p in problems], entries, store_path,
             worker_id=worker_id, timeout=timeout, seed=seed,
             certify=certify, certificate_budget=certificate_budget,
             lease_duration=lease_duration, progress=progress,
             event_sink=event_sink, cancel=cancel,
-            solution_cache=solution_cache)
+            solution_cache=solution_cache, max_retries=max_retries,
+            retry_backoff=retry_backoff,
+            memory_limit_mb=memory_limit_mb).run()
         table = summary["table"]
         if table is None:  # drained before completion: partial view
-            from repro.portfolio.elastic import merge_shards
-
             table = merge_shards(store_path, write=False)
         return BatchResult(problems, solvers, table)
 

@@ -252,7 +252,9 @@ def _run_elastic_worker(args, names, suite):
         timeout=args.timeout, seed=args.seed, certify=True,
         lease_duration=args.lease_duration, drain_mode=args.drain,
         progress=_print_progress if args.verbose else None,
-        solution_cache=_solution_cache(args))
+        solution_cache=_solution_cache(args),
+        max_retries=args.max_retries, retry_backoff=args.retry_backoff,
+        memory_limit_mb=args.memory_limit_mb)
     signal.signal(signal.SIGTERM,
                   lambda *_sig: worker.request_drain())
     try:
@@ -422,7 +424,7 @@ def build_parser():
     run_suite.add_argument("--jobs", type=int, default=1,
                            help="worker processes (default 1)")
     run_suite.add_argument("--max-retries", type=int, default=0,
-                           help="re-run a killed/crashed pool job up to "
+                           help="re-run a killed/crashed job up to "
                                 "N extra times (same derived seed; "
                                 "default 0)")
     run_suite.add_argument("--retry-backoff", type=float, default=0.25,

@@ -9,16 +9,14 @@ solved/unique/fastest counts quoted in the text.
 
 Campaigns scale out through :mod:`repro.portfolio.parallel` (a
 process pool with hard per-run deadlines and deterministic per-job
-seeding) and persist through :mod:`repro.portfolio.store` (a resumable
-JSONL record stream that round-trips back into a
+seeding) or across hosts through :mod:`repro.portfolio.elastic`
+(lease-claiming workers whose jobs run in the same per-job sandbox),
+and persist through :mod:`repro.portfolio.store` (a resumable JSONL
+record stream that round-trips back into a
 :class:`~repro.portfolio.runner.ResultTable`).
 """
 
-from repro.portfolio.elastic import (
-    ElasticWorker,
-    merge_shards,
-    run_elastic_worker,
-)
+from repro.portfolio.elastic import ElasticWorker, merge_shards
 from repro.portfolio.leases import LeaseLog, lease_log_path
 from repro.portfolio.parallel import (
     ENGINE_SPECS,
@@ -33,12 +31,7 @@ from repro.portfolio.parallel import (
     run_campaign,
 )
 from repro.portfolio.racing import RacingEngine
-from repro.portfolio.runner import (
-    ResultTable,
-    RunRecord,
-    evaluate_run,
-    run_portfolio,
-)
+from repro.portfolio.runner import ResultTable, RunRecord, evaluate_run
 from repro.portfolio.store import CampaignStore
 from repro.portfolio.vbs import (
     vbs_times,
@@ -54,7 +47,6 @@ from repro.portfolio.vbs import (
 __all__ = [
     "RunRecord",
     "ResultTable",
-    "run_portfolio",
     "run_campaign",
     "evaluate_run",
     "CampaignStore",
@@ -69,7 +61,6 @@ __all__ = [
     "resolve_engine_spec",
     "derive_job_seed",
     "ElasticWorker",
-    "run_elastic_worker",
     "merge_shards",
     "LeaseLog",
     "lease_log_path",

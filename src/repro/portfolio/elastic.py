@@ -26,10 +26,15 @@ The protocol makes the campaign itself crash-tolerant:
   checks its own shard first and re-publishes instead of re-running,
   and a *different* claimer simply re-runs (its completion wins, and
   the stale shard record is ignored at merge);
+* each claimed job runs in the campaign pool's forked per-job sandbox
+  (:func:`~repro.portfolio.parallel._run_pool` with one slot): a hung
+  job is killed past its budget, ``memory_limit_mb`` turns a runaway
+  allocation into a clean ``UNKNOWN``, and an engine that kills its
+  own process is recorded as crashed — the worker itself survives;
 * SIGTERM drains gracefully (:meth:`ElasticWorker.request_drain`):
   the worker stops claiming and either finishes its in-flight job or
-  cancels it cooperatively and releases the lease — never abandoning
-  it silently to expiry;
+  kills it and releases the lease — never abandoning it silently to
+  expiry;
 * workers may join a live campaign at any time (``repro run-suite
   --elastic --worker-id w2 ...``) and leave whenever they drain.
 
@@ -46,7 +51,6 @@ import threading
 import time
 from glob import glob
 
-from repro.cache import cache_lookup, cache_store, ensure_cache
 from repro.core.result import Status
 from repro.portfolio.leases import (
     DEFAULT_LEASE_DURATION,
@@ -55,12 +59,14 @@ from repro.portfolio.leases import (
     lease_log_path,
 )
 from repro.portfolio.parallel import (
-    _execute_job,
+    DEFAULT_KILL_GRACE,
+    CampaignCache,
     _Job,
+    _run_pool,
     resolve_engine_spec,
     stamp_worker_identity,
 )
-from repro.portfolio.runner import ResultTable, RunRecord
+from repro.portfolio.runner import ResultTable
 from repro.portfolio.store import (
     FORMAT_VERSION,
     CampaignStore,
@@ -117,10 +123,10 @@ class ElasticWorker:
         ``duration / 3``): a worker must miss several heartbeats
         before its job is reclaimed.
     ``drain_mode``
-        ``"release"`` (default): SIGTERM cancels the in-flight solve
-        cooperatively and releases the lease.  ``"finish"``: the
-        in-flight job runs to completion first.  Either way no lease
-        is ever abandoned to silent expiry.
+        ``"release"`` (default): SIGTERM kills the in-flight solve and
+        releases the lease.  ``"finish"``: the in-flight job runs to
+        completion first.  Either way no lease is ever abandoned to
+        silent expiry.
     ``merge_on_complete``
         When this worker observes the campaign complete, fold every
         shard into the canonical store (atomic and idempotent — safe
@@ -134,6 +140,9 @@ class ElasticWorker:
         certified outcomes are stored back.  The on-disk store uses the
         same ``O_APPEND`` discipline as the lease log, so any number of
         concurrent workers may share one cache path.
+    ``max_retries`` / ``retry_backoff`` / ``memory_limit_mb``
+        The job sandbox's resilience knobs, as in
+        :func:`~repro.portfolio.parallel.run_campaign`.
     """
 
     def __init__(self, instances, engines, store, worker_id=None,
@@ -142,7 +151,9 @@ class ElasticWorker:
                  lease_duration=DEFAULT_LEASE_DURATION, heartbeat=None,
                  drain_mode="release", progress=None, event_sink=None,
                  cancel=None, poll_interval=DEFAULT_POLL_INTERVAL,
-                 merge_on_complete=True, solution_cache=None):
+                 merge_on_complete=True, solution_cache=None,
+                 max_retries=0, retry_backoff=0.25,
+                 memory_limit_mb=None):
         self.store_path = store.path if isinstance(store, CampaignStore) \
             else store
         self.worker_id = worker_id or default_worker_id()
@@ -171,7 +182,11 @@ class ElasticWorker:
         self.cancel = cancel
         self.poll_interval = poll_interval
         self.merge_on_complete = merge_on_complete
-        self.cache = ensure_cache(solution_cache)
+        self.cache = (CampaignCache(solution_cache, certificate_budget)
+                      if solution_cache is not None else None)
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        self.memory_limit_mb = memory_limit_mb
         self.log = LeaseLog(lease_log_path(self.store_path))
         self._drain = threading.Event()
         self._current_cancel = None
@@ -181,8 +196,8 @@ class ElasticWorker:
     # ------------------------------------------------------------------
     def request_drain(self):
         """Graceful shutdown (wire this to SIGTERM): stop claiming new
-        jobs; in ``release`` mode also cancel the in-flight solve so
-        the lease is handed back promptly."""
+        jobs; in ``release`` mode also kill the in-flight solve so the
+        lease is handed back promptly."""
         self._drain.set()
         if self.drain_mode == "release":
             token = self._current_cancel
@@ -265,48 +280,32 @@ class ElasticWorker:
                     summary["recovered"] += 1
                     continue
 
-                cache_info = None
+                instance = by_pair[target]
+                hit = None
                 if self.cache is not None:
                     # Consult the cache under the freshly held lease:
                     # a re-certified hit publishes immediately and the
                     # solve never runs.
-                    hit, cache_info = cache_lookup(
-                        self.cache, by_pair[target],
-                        certificate_budget=self.certificate_budget)
-                    if hit is not None:
-                        record = RunRecord(
-                            target[0], target[1], hit.status,
-                            hit.stats.get("wall_time", 0.0),
-                            reason=hit.reason, certified=True,
-                            stats=dict(hit.stats))
-                        stamp_worker_identity(record, self.worker_id)
-                        shard.append(record)
-                        own_records[target] = record
-                        self.log.complete(target, self.worker_id)
-                        summary["cache_hits"] += 1
-                        summary["executed"] += 1
-                        if self.progress is not None:
-                            self.progress(record)
-                        continue
-
-                token = CancellationToken()
-                self._current_cancel = token
-                if self.draining and self.drain_mode == "release":
-                    token.cancel()
-                record = self._run_job(target, by_pair[target], token)
-                self._current_cancel = None
-                if record.status == Status.CANCELLED:
-                    # drained mid-solve: hand the job back explicitly
-                    self.log.release(target, self.worker_id)
-                    summary["released"] += 1
-                    break
-                if cache_info is not None:
-                    record.stats.setdefault("cache", dict(cache_info))
-                if self.cache is not None and record.result is not None \
-                        and record.certified is not False:
-                    cache_store(self.cache, by_pair[target],
-                                record.result)
-                record.result = None  # kept only for the store-back
+                    hit = self.cache.lookup(instance)
+                if hit is not None:
+                    record = self.cache.hit_record(target[0], instance,
+                                                   hit)
+                    summary["cache_hits"] += 1
+                else:
+                    token = CancellationToken()
+                    self._current_cancel = token
+                    if self.draining and self.drain_mode == "release":
+                        token.cancel()
+                    record = self._execute(target, instance, token)
+                    self._current_cancel = None
+                    if record.status == Status.CANCELLED:
+                        # drained mid-solve: hand the job back explicitly
+                        self.log.release(target, self.worker_id)
+                        summary["released"] += 1
+                        break
+                    if self.cache is not None:
+                        self.cache.settle(instance, record)
+                    record.result = None  # kept only for the store-back
                 stamp_worker_identity(record, self.worker_id)
                 shard.append(record)
                 own_records[target] = record
@@ -328,18 +327,14 @@ class ElasticWorker:
                                             pairs=pairs)
         return summary
 
-    def _run_job(self, pair, instance, token):
-        """Execute one claimed job under a heartbeat thread."""
-        engine_name = pair[0]
-        spec = resolve_engine_spec(engine_name)
-        job = _Job(index=0, engine_name=engine_name, engine=None,
+    def _execute(self, pair, instance, token):
+        """Run one claimed job in the pool's forked sandbox — a one-job,
+        one-slot :func:`~repro.portfolio.parallel._run_pool` — while a
+        heartbeat thread renews its lease."""
+        spec = resolve_engine_spec(pair[0])
+        job = _Job(index=0, engine_name=pair[0], engine=None,
                    instance=instance,
                    seed=spec.job_seed(self.seed, instance.name))
-        listener = None
-        if self.event_sink is not None:
-            def listener(event, _pair=pair):
-                self.event_sink(_pair[0], _pair[1], event)
-
         stop = threading.Event()
 
         def beat():
@@ -350,32 +345,29 @@ class ElasticWorker:
                 except OSError:
                     pass  # a missed heartbeat only shortens the lease
 
+        # The sandbox forks with this thread alive; that is safe because
+        # renewals take no lock the child uses (a bare os.open/os.write).
+        records = []
         heart = threading.Thread(target=beat, daemon=True)
         heart.start()
         try:
-            return _execute_job(job, self.timeout, self.certify,
-                                self.certificate_budget,
-                                listener=listener, cancel=token,
-                                keep_result=self.cache is not None)
-        except MemoryError:
-            return RunRecord(engine_name, instance.name, Status.UNKNOWN,
-                             0.0, reason="worker out of memory",
-                             stats={"oom": True})
-        except Exception as exc:  # engine bug: record, keep draining
-            return RunRecord(engine_name, instance.name, Status.UNKNOWN,
-                             0.0, reason="worker error: %r" % (exc,))
+            _run_pool([job], self.timeout, self.certify,
+                      self.certificate_budget, 1, DEFAULT_KILL_GRACE,
+                      lambda _index, record: records.append(record),
+                      event_sink=self.event_sink, cancel=token,
+                      keep_result=self.cache is not None,
+                      max_retries=self.max_retries,
+                      retry_backoff=self.retry_backoff,
+                      memory_limit_mb=self.memory_limit_mb,
+                      worker_id=self.worker_id)
         finally:
             stop.set()
             heart.join()
+        return records[0]
 
     def __repr__(self):
         return "ElasticWorker(%r, store=%r)" % (self.worker_id,
                                                 self.store_path)
-
-
-def run_elastic_worker(instances, engines, store, **kwargs):
-    """Build an :class:`ElasticWorker`, run it, return its summary."""
-    return ElasticWorker(instances, engines, store, **kwargs).run()
 
 
 def merge_shards(store_path, pairs=None, write=True):

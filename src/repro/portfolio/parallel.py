@@ -2,8 +2,11 @@
 
 The paper's evaluation is a campaign: every engine on every instance
 under a wall-clock budget, with every claim certified.  This module
-fans those (engine, instance) jobs across a ``multiprocessing`` worker
-pool:
+runs those (engine, instance) jobs.  ``jobs=1`` runs them in-process
+(cooperative cancellation, live engine objects); every other job runs
+in the forked per-job sandbox of :func:`_run_pool` — the pool's
+``jobs > 1`` workers and each job an elastic worker
+(:mod:`repro.portfolio.elastic`) claims alike:
 
 * **Isolation** — each run executes in its own forked process, so a
   pathological instance cannot corrupt or starve its siblings.
@@ -11,6 +14,9 @@ pool:
   cooperative :class:`~repro.utils.timer.Deadline`; if the engine fails
   to unwind (stuck in a tight SAT inner loop), the parent kills the
   worker ``kill_grace`` seconds past the budget and records ``TIMEOUT``.
+* **Bounded failure** — ``memory_limit_mb`` caps each worker's address
+  space (an OOM becomes a clean ``UNKNOWN``), and ``max_retries``
+  re-runs killed or crashed jobs.
 * **Deterministic seeding** — engines named by string are built fresh
   in the worker with :func:`derive_job_seed`, a pure function of
   (campaign seed, engine, instance).  Results are therefore identical
@@ -22,17 +28,17 @@ pool:
   each record streams to disk the moment it completes, and
   ``resume=True`` skips pairs the store already holds.
 
-:func:`run_campaign` is the orchestrator; ``run_portfolio`` in
-:mod:`repro.portfolio.runner` delegates here.
+:func:`run_campaign` is the orchestrator.
 """
-
 import multiprocessing
 import os
+import signal
 import socket
 import time
 import zlib
 from collections import deque
 
+from repro.cache import cache_lookup, cache_store, ensure_cache
 from repro.core.result import Status
 from repro.portfolio.runner import ResultTable, RunRecord, evaluate_run
 from repro.sat.backend import backend_available
@@ -355,8 +361,13 @@ def _apply_memory_limit(memory_limit_mb):
 
 def _worker_main(job, timeout, certify, certificate_budget, conn,
                  relay_events=False, keep_result=False,
-                 memory_limit_mb=None):
-    """Pool worker: run one job, send its record up the private pipe."""
+                 memory_limit_mb=None, worker_id=None):
+    """Sandboxed worker: run one job, send its record up the private
+    pipe, stamped with ``worker_id`` (default ``<host>-<pid>``)."""
+    # The fork inherits the parent's Python signal handlers; an elastic
+    # worker's SIGTERM drain handler would swallow the parent's
+    # terminate() and leave the kill waiting on the whole job.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if memory_limit_mb is not None:
         _apply_memory_limit(memory_limit_mb)
     try:
@@ -380,9 +391,16 @@ def _worker_main(job, timeout, certify, certificate_budget, conn,
         record = RunRecord(job.engine_name, job.instance.name,
                            Status.UNKNOWN, 0.0,
                            reason="worker error: %r" % (exc,))
-    stamp_worker_identity(record)
+    stamp_worker_identity(record, worker_id)
     try:
-        conn.send(record)
+        try:
+            conn.send(record)
+        except Exception:
+            # The attached result did not pickle (e.g. partial functions
+            # nested past the recursion limit): the verdict, time,
+            # reason, stats and certification still ship without it.
+            record.result = None
+            conn.send(record)
     except Exception:
         conn.send(RunRecord(job.engine_name, job.instance.name,
                             Status.UNKNOWN, 0.0,
@@ -479,7 +497,7 @@ def _stamp(record, job):
 def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
               kill_grace, emit, event_sink=None, cancel=None,
               keep_result=False, max_retries=0, retry_backoff=0.25,
-              memory_limit_mb=None):
+              memory_limit_mb=None, worker_id=None):
     """Fan jobs over ``num_workers`` forked processes.
 
     Each worker reports over its own pipe (no shared queue, so killing
@@ -497,7 +515,9 @@ def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
     final outcome is emitted (and persisted), stamped with the total
     ``attempts`` and the wall time burned by failed attempts.  Worker-
     reported records — including the clean UNKNOWN an OOM under
-    ``memory_limit_mb`` produces — are final and never retried.
+    ``memory_limit_mb`` produces — are final and never retried, and
+    carry ``worker_id`` (default: the worker's ``<host>-<pid>``) as
+    their ``stats["worker"]["id"]``.
     """
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
@@ -560,7 +580,7 @@ def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
                     target=_worker_main,
                     args=(job, timeout, certify, certificate_budget,
                           child_conn, event_sink is not None,
-                          keep_result, memory_limit_mb),
+                          keep_result, memory_limit_mb, worker_id),
                     daemon=True)
                 process.start()
                 child_conn.close()  # parent keeps only the read end
@@ -632,6 +652,56 @@ def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
 
 
 # ----------------------------------------------------------------------
+# solution cache
+# ----------------------------------------------------------------------
+class CampaignCache:
+    """The certified solution cache as one campaign uses it.
+
+    Both campaign executors — :func:`run_campaign` and each
+    :class:`~repro.portfolio.elastic.ElasticWorker` — go through here:
+    :meth:`lookup` consults the cache for an instance, :meth:`hit_record`
+    turns a re-certified hit into the job's record, and :meth:`settle`
+    stamps a cold record with the lookup's ``stats["cache"]`` miss
+    block and stores the first certified decisive result per instance
+    back.
+    """
+
+    def __init__(self, cache, certificate_budget):
+        self.cache = ensure_cache(cache)
+        self.certificate_budget = certificate_budget
+        self.info = {}       # instance name -> stats["cache"] block
+        self.stored = set()  # instance names already stored back
+
+    def lookup(self, instance):
+        """The re-certified cached result for ``instance``, or None."""
+        hit, self.info[instance.name] = cache_lookup(
+            self.cache, instance,
+            certificate_budget=self.certificate_budget)
+        return hit
+
+    @staticmethod
+    def hit_record(engine_name, instance, hit, keep_result=False):
+        """The record of a job answered by the re-certified ``hit``."""
+        return RunRecord(
+            engine_name, instance.name, hit.status,
+            hit.stats.get("wall_time", 0.0), reason=hit.reason,
+            certified=True, stats=dict(hit.stats),
+            result=hit if keep_result else None)
+
+    def settle(self, instance, record):
+        """Stamp a finished record's cache block; store a certified
+        decisive cold result back (once per instance)."""
+        info = self.info.get(instance.name)
+        if info is not None:
+            record.stats.setdefault("cache", dict(info))
+        if record.result is not None and record.certified is not False \
+                and instance.name not in self.stored \
+                and not record.stats.get("cache", {}).get("hit"):
+            if cache_store(self.cache, instance, record.result):
+                self.stored.add(instance.name)
+
+
+# ----------------------------------------------------------------------
 # orchestrator
 # ----------------------------------------------------------------------
 def run_campaign(instances, engines, timeout=None, certify=True,
@@ -686,11 +756,8 @@ def run_campaign(instances, engines, timeout=None, certify=True,
 
     if isinstance(store, str):
         store = CampaignStore(store)
-    cache = None
-    if solution_cache is not None:
-        from repro.cache import ensure_cache
-
-        cache = ensure_cache(solution_cache)
+    cache = (CampaignCache(solution_cache, certificate_budget)
+             if solution_cache is not None else None)
 
     instances = list(instances)
     specs = []
@@ -715,39 +782,24 @@ def run_campaign(instances, engines, timeout=None, certify=True,
         for record in store.iter_records():
             done[(record.engine, record.instance)] = record
 
-    # One cache lookup per instance that still has open jobs; a
-    # re-certified hit answers every engine pair of that instance.
-    cache_hits = {}  # instance name -> certified SynthesisResult
-    cache_info = {}  # instance name -> stats["cache"] block (hit | miss)
-    if cache is not None:
-        from repro.cache import cache_lookup, cache_store
-
-        for instance in instances:
-            if all((name, instance.name) in done
-                   for name, _engine, _spec in specs):
-                continue
-            hit, info = cache_lookup(
-                cache, instance, certificate_budget=certificate_budget)
-            cache_info[instance.name] = info
-            if hit is not None:
-                cache_hits[instance.name] = hit
-
     jobs_list = []
     hit_records = []  # (emit key, record) answered without a worker
     slots = []  # (engine_name, instance_name) in canonical table order
     for instance in instances:
+        # One cache lookup per instance that still has open jobs; a
+        # re-certified hit answers every engine pair of that instance.
+        hit = None
+        if cache is not None and any((name, instance.name) not in done
+                                     for name, _engine, _spec in specs):
+            hit = cache.lookup(instance)
         for engine_name, engine, spec in specs:
             pair = (engine_name, instance.name)
             slots.append(pair)
             if pair in done:
                 continue
-            hit = cache_hits.get(instance.name)
             if hit is not None:
-                record = RunRecord(
-                    engine_name, instance.name, hit.status,
-                    hit.stats.get("wall_time", 0.0), reason=hit.reason,
-                    certified=True, stats=dict(hit.stats),
-                    result=hit if keep_results else None)
+                record = cache.hit_record(engine_name, instance, hit,
+                                          keep_result=keep_results)
                 hit_records.append((("cache",) + pair,
                                     stamp_worker_identity(record)))
                 continue
@@ -761,19 +813,10 @@ def run_campaign(instances, engines, timeout=None, certify=True,
 
     executed = {}
     by_name = {instance.name: instance for instance in instances}
-    stored_names = set()
 
     def emit(index, record):
         if cache is not None:
-            info = cache_info.get(record.instance)
-            if info is not None:
-                record.stats.setdefault("cache", dict(info))
-            result = getattr(record, "result", None)
-            if result is not None and record.certified is not False \
-                    and record.instance not in stored_names \
-                    and not record.stats.get("cache", {}).get("hit"):
-                if cache_store(cache, by_name[record.instance], result):
-                    stored_names.add(record.instance)
+            cache.settle(by_name[record.instance], record)
         executed[index] = record
         # CANCELLED is not an outcome, it is the absence of one: never
         # persist it, so a resumed campaign re-executes exactly the

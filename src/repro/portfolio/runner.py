@@ -6,12 +6,10 @@ certificate checker; a vector that fails certification is recorded as
 to cheat the evaluation).  ``FALSE`` claims that come with an
 inextensibility witness are re-checked the same way.
 
-:func:`run_portfolio` is the public entry point.  With ``jobs=1`` it
-runs in-process (the deterministic path unit tests rely on); with
-``jobs > 1`` it delegates to the process pool in
-:mod:`repro.portfolio.parallel`, and with ``store=`` it streams records
-to a resumable on-disk campaign
-(:class:`~repro.portfolio.store.CampaignStore`).
+:func:`evaluate_run` is that certification gate; campaigns run it per
+job through :func:`repro.portfolio.parallel.run_campaign` (in-process
+for ``jobs=1``, in forked workers otherwise) and collect the records in
+a :class:`ResultTable`.
 """
 
 from repro.core.result import Status
@@ -35,14 +33,16 @@ class RunRecord:
     populated by ``evaluate_run(..., keep_result=True)``, which the
     ``repro.api`` batch path uses so ``solve_batch`` solutions expose
     their function vectors.  It is *not* persisted by the campaign
-    store (expressions do not serialize to the JSONL schema).
+    store (expressions do not serialize to the JSONL schema), and a
+    forked worker drops it when it cannot be pickled.
 
     ``attempts`` counts executions of the job behind this record: 1
-    everywhere except pool campaigns running with ``max_retries > 0``,
-    where a killed/crashed job is re-executed and its final record
-    carries the total attempt count (wall time burned by the failed
-    attempts is under ``stats["retry_lost_time"]``).  Round-tripped by
-    the campaign store; absent in pre-existing files (defaults to 1).
+    everywhere except forked (pool or elastic) jobs run with
+    ``max_retries > 0``, where a killed/crashed job is re-executed and
+    its final record carries the total attempt count (wall time burned
+    by the failed attempts is under ``stats["retry_lost_time"]``).
+    Round-tripped by the campaign store; absent in pre-existing files
+    (defaults to 1).
     """
 
     __slots__ = ("engine", "instance", "status", "time", "reason",
@@ -161,60 +161,3 @@ def evaluate_run(engine_name, instance, result, certify=True,
         result=result if keep_result else None,
     )
 
-
-def run_portfolio(instances, engines, timeout=None, certify=True,
-                  certificate_budget=200_000, progress=None, jobs=1,
-                  seed=None, store=None, resume=False, max_retries=0,
-                  retry_backoff=0.25, memory_limit_mb=None):
-    """Run every engine on every instance.
-
-    Parameters
-    ----------
-    instances:
-        Iterable of :class:`~repro.dqbf.instance.DQBFInstance`.
-    engines:
-        Iterable of engine objects exposing ``name`` and
-        ``run(instance, timeout)``, or engine *names* (strings) resolved
-        through :data:`repro.portfolio.parallel.ENGINE_SPECS` — names
-        get a fresh engine per job with a deterministic per-job seed, so
-        results are identical for any ``jobs`` value.
-    timeout:
-        Per-run wall-clock budget in seconds.
-    certify:
-        Re-check every claimed vector/witness with the independent
-        checker.
-    certificate_budget:
-        Conflict budget for certification SAT calls.
-    progress:
-        Optional callback ``(record) -> None``, invoked once per
-        *executed* run (resumed records are loaded silently).
-    jobs:
-        Worker processes; ``1`` runs in-process.
-    seed:
-        Campaign seed for per-job seed derivation of name-specified
-        engines.
-    store:
-        Optional :class:`~repro.portfolio.store.CampaignStore` (or path)
-        that every record streams to as it completes.
-    resume:
-        Skip (engine, instance) pairs already present in ``store``.
-    max_retries / retry_backoff:
-        Pool-mode resilience: re-run a killed/crashed job up to
-        ``max_retries`` extra times with exponential backoff (see
-        :func:`repro.portfolio.parallel.run_campaign`).
-    memory_limit_mb:
-        Per-worker address-space ceiling; an OOM becomes a clean
-        UNKNOWN record instead of a crashed worker.
-
-    Returns a :class:`ResultTable`.
-    """
-    from repro.portfolio.parallel import run_campaign
-
-    return run_campaign(instances, engines, timeout=timeout,
-                        certify=certify,
-                        certificate_budget=certificate_budget,
-                        progress=progress, jobs=jobs, seed=seed,
-                        store=store, resume=resume,
-                        max_retries=max_retries,
-                        retry_backoff=retry_backoff,
-                        memory_limit_mb=memory_limit_mb)

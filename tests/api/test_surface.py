@@ -7,6 +7,9 @@ change that updates ``docs/API.md`` and the examples.
 """
 
 import inspect
+import warnings
+
+import pytest
 
 import repro
 import repro.api as api
@@ -122,3 +125,22 @@ class TestSurfaceSnapshot:
     def test_engine_registry_is_reachable(self):
         names = api.engine_names()
         assert "manthan3" in names and "expansion" in names
+
+
+class TestRootNamespace:
+    def test_facade_names_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            repro.Problem
+            repro.Solver
+            repro.Solution
+            repro.CancellationToken
+            repro.solve
+            repro.solve_batch
+            repro.api
+            repro.Manthan3Config
+            repro.Status
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            repro.does_not_exist

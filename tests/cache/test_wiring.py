@@ -6,7 +6,7 @@ from repro.api import Problem, Solver
 from repro.benchgen import generate_planted_instance
 from repro.cache import SolutionCache
 from repro.core.result import Status
-from repro.portfolio.elastic import run_elastic_worker
+from repro.portfolio.elastic import ElasticWorker
 from repro.portfolio.parallel import run_campaign
 from repro.portfolio.report import cache_summary, render_report
 
@@ -143,16 +143,16 @@ class TestElastic:
     def test_second_worker_pass_hits_everything(self, tmp_path):
         instances = suite()
         cache_path = str(tmp_path / "cache.jsonl")
-        first = run_elastic_worker(
+        first = ElasticWorker(
             instances, ["manthan3"], str(tmp_path / "camp1.jsonl"),
             worker_id="w1", timeout=60.0, seed=7,
-            solution_cache=cache_path)
+            solution_cache=cache_path).run()
         assert first["complete"]
         assert first["cache_hits"] == 0
-        second = run_elastic_worker(
+        second = ElasticWorker(
             instances, ["manthan3"], str(tmp_path / "camp2.jsonl"),
             worker_id="w1", timeout=60.0, seed=7,
-            solution_cache=cache_path)
+            solution_cache=cache_path).run()
         assert second["complete"]
         assert second["cache_hits"] == len(instances)
         assert sorted((r.engine, r.instance, r.status, r.certified)
@@ -165,9 +165,9 @@ class TestElastic:
             assert record.stats["cache"]["hit"] is True
 
     def test_uncached_elastic_has_no_cache_keys(self, tmp_path):
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             suite(1), ["manthan3"], str(tmp_path / "camp.jsonl"),
-            worker_id="w1", timeout=60.0, seed=7)
+            worker_id="w1", timeout=60.0, seed=7).run()
         assert summary["cache_hits"] == 0
         for record in summary["table"].records:
             assert "cache" not in record.stats

@@ -21,7 +21,6 @@ from repro.formula.cnf import CNF
 from repro.portfolio.elastic import (
     ElasticWorker,
     merge_shards,
-    run_elastic_worker,
     shard_path,
 )
 from repro.portfolio.leases import LeaseLog, lease_log_path
@@ -141,9 +140,9 @@ class TestSigkillConvergence:
         assert len(pairs) == len(set(pairs))
 
         # the reference: one undisturbed worker in a fresh directory
-        ref = run_elastic_worker(
+        ref = ElasticWorker(
             instances, engines, str(tmp_path / "ref.jsonl"),
-            worker_id="ref", timeout=10.0, seed=7)["table"]
+            worker_id="ref", timeout=10.0, seed=7).run()["table"]
         assert sorted((r.engine, r.instance, r.status)
                       for r in table.records) \
             == sorted((r.engine, r.instance, r.status)
@@ -187,7 +186,7 @@ class TestSigtermDrain:
     def test_sigterm_releases_the_lease_and_writes_no_record(
             self, tmp_path, dawdle):
         # Graceful drain, release mode: the in-flight solve is
-        # cancelled cooperatively, the lease is handed back (not
+        # stopped, the lease is handed back (not
         # abandoned to expiry), and no half-run record leaks into the
         # shard.
         instances = [tiny_instance("inst-%d" % i) for i in range(3)]
@@ -221,9 +220,9 @@ class TestSigtermDrain:
                 assert record.status != Status.CANCELLED
 
         # a replacement finishes the campaign without reclaims
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             instances, engines, store, worker_id="w2", timeout=10.0,
-            seed=7, lease_duration=30.0)
+            seed=7, lease_duration=30.0).run()
         assert summary["complete"]
         assert summary["reclaimed"] == 0
         table = summary["table"]
@@ -251,3 +250,160 @@ class TestSigtermDrain:
         assert summary["released"] == 0
         states = LeaseLog(lease_log_path(store)).resolve()
         assert sum(1 for s in states.values() if s.done) == 1
+
+
+class _EngineSpec:
+    """Registry spec for a test-only engine class (registered before
+    workers fork, like the dawdle spec)."""
+
+    description = "test-only engine"
+
+    def __init__(self, cls):
+        self.name = cls.name
+        self.cls = cls
+
+    def build(self, seed):
+        return self.cls()
+
+    def job_seed(self, campaign_seed, instance_name):
+        return derive_job_seed(campaign_seed, self.name, instance_name)
+
+
+class _SelfKillEngine:
+    """SIGKILLs its own process on ``inst-0``; solves everything else."""
+
+    name = "selfkill"
+
+    def run(self, instance, timeout=None):
+        if instance.name == "inst-0":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return SynthesisResult(Status.SYNTHESIZED,
+                               functions={2: bf.var(1)},
+                               stats={"wall_time": 0.01})
+
+
+class _HangEngine:
+    """Ignores its deadline and any cancel: only a kill stops it."""
+
+    name = "hang"
+
+    def run(self, instance, timeout=None):
+        time.sleep(20)
+        return SynthesisResult(Status.SYNTHESIZED,
+                               functions={2: bf.var(1)},
+                               stats={"wall_time": 20.0})
+
+
+class _AllocEngine:
+    """Allocates far past any sane ceiling — but only under one, so a
+    dropped ceiling cannot take the host's memory."""
+
+    name = "alloc"
+
+    def run(self, instance, timeout=None):
+        import resource
+
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft == resource.RLIM_INFINITY:
+            return SynthesisResult(Status.UNKNOWN, reason="no ceiling")
+        buf = bytearray(1 << 42)
+        return SynthesisResult(Status.UNKNOWN, stats={"len": len(buf)})
+
+
+@pytest.fixture
+def test_engines():
+    specs = [_EngineSpec(cls)
+             for cls in (_SelfKillEngine, _HangEngine, _AllocEngine)]
+    for spec in specs:
+        ENGINE_SPECS[spec.name] = spec
+    try:
+        yield
+    finally:
+        for spec in specs:
+            del ENGINE_SPECS[spec.name]
+
+
+class TestSandboxedJobs:
+    """Elastic jobs run in the pool's forked sandbox: a job that kills
+    itself, hangs, or runs out of memory ends as a record, and the
+    worker that claimed it lives on."""
+
+    def test_self_killing_job_is_recorded_and_the_worker_finishes(
+            self, tmp_path, test_engines):
+        instances = [tiny_instance("inst-%d" % i) for i in range(3)]
+        store = str(tmp_path / "camp.jsonl")
+        ctx = multiprocessing.get_context("fork")
+        worker = _spawn_worker(ctx, instances, ["selfkill"], store, "w1",
+                               lease_duration=30.0)
+        worker.join(60)
+        assert worker.exitcode == 0
+
+        records = {r.instance: r for r in
+                   CampaignStore(shard_path(store, "w1")).iter_records()}
+        assert sorted(records) == ["inst-0", "inst-1", "inst-2"]
+        crashed = records["inst-0"]
+        assert crashed.status == Status.UNKNOWN
+        assert crashed.stats["crashed"] is True
+        assert crashed.stats["worker"]["id"] == "w1"
+        assert records["inst-1"].status == Status.SYNTHESIZED
+        states = LeaseLog(lease_log_path(store)).resolve()
+        assert all(s.done and s.done_by == "w1" for s in states.values())
+
+    def test_memory_limit_reaches_elastic_jobs(self, tmp_path,
+                                               test_engines):
+        pytest.importorskip("resource")
+        from repro.api import solve_batch
+
+        batch = solve_batch([tiny_instance("a")], ["alloc"], timeout=10.0,
+                            seed=7, store=str(tmp_path / "camp.jsonl"),
+                            elastic=True, worker_id="w1",
+                            memory_limit_mb=256)
+        record = batch.table.record_for("alloc", "a")
+        assert record.status == Status.UNKNOWN
+        assert record.stats.get("oom") is True
+        assert "address-space ceiling 256 MB" in record.reason
+
+    def test_hung_job_is_killed_under_a_sigterm_drain_handler(
+            self, tmp_path, test_engines):
+        from repro.portfolio.parallel import DEFAULT_KILL_GRACE
+
+        timeout = 0.3
+        worker = ElasticWorker([tiny_instance("a")], ["hang"],
+                               str(tmp_path / "camp.jsonl"),
+                               worker_id="w1", timeout=timeout, seed=7)
+        previous = signal.signal(signal.SIGTERM,
+                                 lambda *_a: worker.request_drain())
+        try:
+            started = time.monotonic()
+            summary = worker.run()
+            elapsed = time.monotonic() - started
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        record = summary["table"].record_for("hang", "a")
+        assert record.status == Status.TIMEOUT
+        assert record.stats["killed"] is True
+        assert timeout + DEFAULT_KILL_GRACE <= record.stats["wall_time"]
+        assert elapsed < timeout + DEFAULT_KILL_GRACE + 5
+
+    def test_release_drain_of_a_hung_job_returns_promptly(
+            self, tmp_path, test_engines):
+        store = str(tmp_path / "camp.jsonl")
+        ctx = multiprocessing.get_context("fork")
+        worker = _spawn_worker(ctx, [tiny_instance("a")], ["hang"], store,
+                               "w1", lease_duration=30.0,
+                               install_sigterm_drain=True)
+        try:
+            assert _wait_for_lease(store)
+            time.sleep(0.3)  # let the claimed job start hanging
+            started = time.monotonic()
+            os.kill(worker.pid, signal.SIGTERM)
+            worker.join(10)
+            elapsed = time.monotonic() - started
+            assert worker.exitcode == 0
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
+        assert elapsed < 5
+        state = LeaseLog(lease_log_path(store)).resolve()[("hang", "a")]
+        assert state.owner is None and not state.done

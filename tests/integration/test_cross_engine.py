@@ -70,11 +70,11 @@ class TestSuiteSmoke:
     def test_smoke_suite_portfolio(self, engines):
         """The whole pipeline: suite → three engines → VBS analytics."""
         from repro.benchgen import build_suite
-        from repro.portfolio import run_portfolio, solved_counts, \
+        from repro.portfolio import run_campaign, solved_counts, \
             unique_solves, vbs_times
 
         suite = build_suite("smoke", seed=0)
-        table = run_portfolio(suite, list(engines.values()), timeout=5)
+        table = run_campaign(suite, list(engines.values()), timeout=5)
         counts = solved_counts(table)
         # every engine solves something
         assert all(c > 0 for c in counts.values()), counts

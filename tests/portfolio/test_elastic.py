@@ -13,7 +13,6 @@ from repro.portfolio.elastic import (
     ElasticWorker,
     default_worker_id,
     merge_shards,
-    run_elastic_worker,
     shard_path,
     shard_paths,
 )
@@ -50,9 +49,9 @@ class TestSingleWorker:
     def test_one_worker_completes_and_matches_serial(self, tmp_path):
         instances = suite()
         store = str(tmp_path / "camp.jsonl")
-        summary = run_elastic_worker(instances, ENGINES, store,
-                                     worker_id="w1", timeout=10.0,
-                                     seed=7)
+        summary = ElasticWorker(instances, ENGINES, store,
+                                worker_id="w1", timeout=10.0,
+                                seed=7).run()
         assert summary["complete"]
         assert not summary["drained"]
         assert summary["executed"] == len(instances) * len(ENGINES)
@@ -63,9 +62,9 @@ class TestSingleWorker:
     def test_canonical_store_loads_through_campaignstore(self, tmp_path):
         instances = suite(2)
         store = str(tmp_path / "camp.jsonl")
-        summary = run_elastic_worker(instances, ENGINES, store,
-                                     worker_id="w1", timeout=10.0,
-                                     seed=7)
+        summary = ElasticWorker(instances, ENGINES, store,
+                                worker_id="w1", timeout=10.0,
+                                seed=7).run()
         loaded = CampaignStore(store).load()
         assert loaded.timeout == 10.0
         assert table_key(loaded) == table_key(summary["table"])
@@ -73,9 +72,9 @@ class TestSingleWorker:
     def test_records_are_worker_stamped_and_lease_stamped(self, tmp_path):
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        summary = run_elastic_worker(instances, ENGINES, store,
-                                     worker_id="w1", timeout=10.0,
-                                     seed=7)
+        summary = ElasticWorker(instances, ENGINES, store,
+                                worker_id="w1", timeout=10.0,
+                                seed=7).run()
         for record in summary["table"].records:
             assert record.stats["worker"]["id"] == "w1"
             assert record.stats["worker"]["host"]
@@ -86,10 +85,10 @@ class TestSingleWorker:
     def test_progress_fires_per_executed_run(self, tmp_path):
         instances = suite(2)
         seen = []
-        run_elastic_worker(instances, ENGINES,
-                           str(tmp_path / "camp.jsonl"), worker_id="w1",
-                           timeout=10.0, seed=7,
-                           progress=seen.append)
+        ElasticWorker(instances, ENGINES,
+                      str(tmp_path / "camp.jsonl"), worker_id="w1",
+                      timeout=10.0, seed=7,
+                      progress=seen.append).run()
         assert sorted((r.engine, r.instance) for r in seen) == sorted(
             (e, i.name) for e in ENGINES for i in instances)
 
@@ -116,11 +115,11 @@ class TestJoinValidation:
 
     def test_mismatched_campaign_parameters_are_refused(self, tmp_path):
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(suite(1), ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
+        ElasticWorker(suite(1), ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
         with pytest.raises(ReproError, match="timeout"):
-            run_elastic_worker(suite(1), ENGINES, store, worker_id="w2",
-                               timeout=5.0, seed=7)
+            ElasticWorker(suite(1), ENGINES, store, worker_id="w2",
+                          timeout=5.0, seed=7).run()
 
     def test_default_worker_id_is_host_pid(self):
         assert default_worker_id().endswith("-%d" % os.getpid())
@@ -133,9 +132,9 @@ class TestTwoWorkers:
         ctx = multiprocessing.get_context("fork")
 
         def worker(worker_id, queue):
-            summary = run_elastic_worker(
+            summary = ElasticWorker(
                 instances, ENGINES, store, worker_id=worker_id,
-                timeout=10.0, seed=7, merge_on_complete=False)
+                timeout=10.0, seed=7, merge_on_complete=False).run()
             queue.put((worker_id, summary["executed"]))
 
         queue = ctx.Queue()
@@ -160,10 +159,10 @@ class TestTwoWorkers:
     def test_second_worker_joins_a_finished_campaign(self, tmp_path):
         instances = suite(2)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
-        late = run_elastic_worker(instances, ENGINES, store,
-                                  worker_id="w2", timeout=10.0, seed=7)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
+        late = ElasticWorker(instances, ENGINES, store,
+                             worker_id="w2", timeout=10.0, seed=7).run()
         assert late["complete"]
         assert late["executed"] == 0
 
@@ -176,13 +175,13 @@ class TestCrashRecovery:
         # re-publish without re-running.
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        first = run_elastic_worker(instances, ENGINES, store,
-                                   worker_id="w1", timeout=10.0, seed=7)
+        first = ElasticWorker(instances, ENGINES, store,
+                              worker_id="w1", timeout=10.0, seed=7).run()
         assert first["executed"] == 2
         os.remove(lease_log_path(store))  # forget every completion
 
-        again = run_elastic_worker(instances, ENGINES, store,
-                                   worker_id="w1", timeout=10.0, seed=7)
+        again = ElasticWorker(instances, ENGINES, store,
+                              worker_id="w1", timeout=10.0, seed=7).run()
         assert again["complete"]
         assert again["executed"] == 0
         assert again["recovered"] == 2
@@ -192,14 +191,14 @@ class TestCrashRecovery:
             self, tmp_path):
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
         os.remove(lease_log_path(store))
 
         # A *different* id cannot trust the stranger's shard: it
         # re-runs, and its completion wins at merge.
-        again = run_elastic_worker(instances, ENGINES, store,
-                                   worker_id="w2", timeout=10.0, seed=7)
+        again = ElasticWorker(instances, ENGINES, store,
+                              worker_id="w2", timeout=10.0, seed=7).run()
         assert again["executed"] == 2
         assert again["recovered"] == 0
         for record in again["table"].records:
@@ -210,8 +209,8 @@ class TestMerge:
     def test_merge_is_idempotent(self, tmp_path):
         instances = suite(2)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
         with open(store, "rb") as handle:
             first = handle.read()
         merge_shards(store)
@@ -221,8 +220,8 @@ class TestMerge:
     def test_merge_write_false_leaves_no_canonical_file(self, tmp_path):
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7, merge_on_complete=False)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7, merge_on_complete=False).run()
         assert not os.path.exists(store)
         table = merge_shards(store, write=False)
         assert not os.path.exists(store)
@@ -262,9 +261,9 @@ class TestDrain:
 
         token = CancellationToken()
         token.cancel()
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             suite(2), ENGINES, str(tmp_path / "camp.jsonl"),
-            worker_id="w1", timeout=10.0, seed=7, cancel=token)
+            worker_id="w1", timeout=10.0, seed=7, cancel=token).run()
         assert summary["drained"]
         assert summary["executed"] == 0
 

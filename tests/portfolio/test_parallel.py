@@ -1,6 +1,7 @@
 """Tests for the process-parallel campaign subsystem."""
 
 import os
+import sys
 import time
 
 import pytest
@@ -57,6 +58,22 @@ class RaisingEngine:
 
     def run(self, instance, timeout=None):
         raise ValueError("engine bug")
+
+
+class DeepPartialEngine:
+    """Gives up with an anytime partial nested deeper than the
+    recursion limit, so the result cannot be pickled."""
+
+    name = "deep"
+
+    def run(self, instance, timeout=None):
+        expr = bf.var(1)
+        for i in range(2, sys.getrecursionlimit()):
+            expr = bf.or_(bf.and_(expr, bf.var(2 * i)), bf.var(2 * i + 1))
+        return SynthesisResult(Status.UNKNOWN,
+                               reason="repair budget exhausted",
+                               stats={"wall_time": 0.75},
+                               partial_functions={2: expr})
 
 
 class TestRegistry:
@@ -161,6 +178,15 @@ class TestPoolScheduling:
                              timeout=5, jobs=2)
         assert table.solved_instances("good") == {"a", "b"}
         assert table.solved_instances("crashing") == set()
+
+    def test_unpicklable_result_keeps_the_verdict(self):
+        table = run_campaign([tiny_instance("a")], [DeepPartialEngine()],
+                             timeout=10, jobs=2, keep_results=True)
+        record = table.record_for("deep", "a")
+        assert record.status == Status.UNKNOWN
+        assert record.reason == "repair budget exhausted"
+        assert record.time == 0.75
+        assert record.result is None  # only the result was dropped
 
     def test_progress_fires_per_executed_run(self):
         seen = []

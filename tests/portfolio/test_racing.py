@@ -244,12 +244,12 @@ class TestRaceInCampaigns:
             in ("manthan3", "expansion")
 
     def test_race_groups_work_in_elastic_campaigns(self, tmp_path):
-        from repro.portfolio.elastic import run_elastic_worker
+        from repro.portfolio.elastic import ElasticWorker
 
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             [tiny_instance("a")], ["race:manthan3+expansion"],
             str(tmp_path / "camp.jsonl"), worker_id="w1", timeout=10.0,
-            seed=7)
+            seed=7).run()
         assert summary["complete"]
         record = summary["table"].records[0]
         assert record.status == Status.SYNTHESIZED

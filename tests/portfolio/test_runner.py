@@ -4,7 +4,8 @@ from repro.core.result import Status, SynthesisResult
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
-from repro.portfolio.runner import ResultTable, RunRecord, run_portfolio
+from repro.portfolio.parallel import run_campaign
+from repro.portfolio.runner import ResultTable, RunRecord
 
 
 def make_instance(name):
@@ -37,7 +38,7 @@ class TestRunner:
         instances = [make_instance("a"), make_instance("b")]
         engines = [FakeEngine("e1", {"a": "good", "b": "unknown"}),
                    FakeEngine("e2", {"a": "unknown", "b": "good"})]
-        table = run_portfolio(instances, engines, timeout=5)
+        table = run_campaign(instances, engines, timeout=5)
         assert len(table.records) == 4
         assert table.engines() == ["e1", "e2"]
         assert table.instances() == ["a", "b"]
@@ -46,7 +47,7 @@ class TestRunner:
         """An engine returning a wrong vector must not count as solved."""
         instances = [make_instance("a")]
         engines = [FakeEngine("cheat", {"a": "bad"})]
-        table = run_portfolio(instances, engines, timeout=5)
+        table = run_campaign(instances, engines, timeout=5)
         record = table.records[0]
         assert record.status == "INVALID"
         assert not record.solved
@@ -54,23 +55,23 @@ class TestRunner:
 
     def test_valid_vector_certified(self):
         instances = [make_instance("a")]
-        table = run_portfolio(instances,
-                              [FakeEngine("e", {"a": "good"})], timeout=5)
+        table = run_campaign(instances,
+                             [FakeEngine("e", {"a": "good"})], timeout=5)
         assert table.records[0].solved
         assert table.time_of("e", "a") == 0.1
 
     def test_time_of_unsolved_is_none(self):
         instances = [make_instance("a")]
-        table = run_portfolio(instances,
-                              [FakeEngine("e", {"a": "unknown"})],
-                              timeout=5)
+        table = run_campaign(instances,
+                             [FakeEngine("e", {"a": "unknown"})],
+                             timeout=5)
         assert table.time_of("e", "a") is None
 
     def test_progress_callback(self):
         seen = []
-        run_portfolio([make_instance("a")],
-                      [FakeEngine("e", {"a": "good"})], timeout=5,
-                      progress=seen.append)
+        run_campaign([make_instance("a")],
+                     [FakeEngine("e", {"a": "good"})], timeout=5,
+                     progress=seen.append)
         assert len(seen) == 1
         assert isinstance(seen[0], RunRecord)
 
@@ -78,9 +79,9 @@ class TestRunner:
         from repro.baselines import ExpansionSynthesizer
         from repro.core import Manthan3
 
-        table = run_portfolio([paper_example_instance],
-                              [Manthan3(), ExpansionSynthesizer()],
-                              timeout=30)
+        table = run_campaign([paper_example_instance],
+                             [Manthan3(), ExpansionSynthesizer()],
+                             timeout=30)
         assert len(table.solved_instances("manthan3")) == 1
         assert len(table.solved_instances("expansion")) == 1
 
