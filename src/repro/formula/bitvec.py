@@ -138,7 +138,8 @@ def eval_bitset(expr, matrix, memo=None):
         elif not expanded:
             stack.append((node, True))
             for child in node.children:
-                stack.append((child, False))
+                if id(child) not in memo:
+                    stack.append((child, False))
         else:
             children = node.children
             if op == OP_NOT:

@@ -26,7 +26,18 @@ Design notes
   synthesis loop keep one solver per oracle instead of rebuilding.
   Selector literals never escape: models and cores are masked before
   they reach callers.
+* **Hot loop.** ``_propagate``, ``_analyze``, ``_cancel_until`` and
+  ``_search`` work on local aliases and read ``assigns`` inline: literal
+  ``l`` is true iff ``assigns[|l|] is (l > 0)``.  The invariant is order
+  preservation: decisions, watch swaps, watch-list appends and heap
+  pushes happen in the order of the plain formulation, so models, cores,
+  counters and every synthesis trajectory stay bit-identical (pinned by
+  ``tests/sat/test_solver_golden.py``).  No blocker literals (Chu,
+  Harwood & Stuckey, JSAT 2009): a clause kept on its list by a true
+  blocker changes the watch-list order, and with it the trajectory.
 """
+
+from heapq import heappop, heappush
 
 from repro.utils.errors import ReproError
 from repro.utils.rng import make_rng
@@ -137,8 +148,6 @@ class Solver:
     # ------------------------------------------------------------------
     def ensure_vars(self, n):
         """Grow the variable space to at least ``n`` variables."""
-        import heapq
-
         while self.num_vars < n:
             self.num_vars += 1
             self.assigns.append(None)
@@ -149,7 +158,7 @@ class Solver:
             self.watches.append([])
             self.watches.append([])
             self._in_heap.append(True)
-            heapq.heappush(self._heap, (0.0, self.num_vars))
+            heappush(self._heap, (0.0, self.num_vars))
 
     def reserve_var(self):
         """Allocate and return one fresh variable id.
@@ -230,9 +239,6 @@ class Solver:
             else:
                 self.ok = self._propagate() is None
 
-    def _mask_selectors(self, lits):
-        return [l for l in lits if abs(l) not in self._selector_group]
-
     def add_clause(self, lits, group=None):
         """Add a problem clause; returns ``False`` on root-level conflict.
 
@@ -243,9 +249,10 @@ class Solver:
         if not self.ok:
             return False
         lits = [int(l) for l in lits]
-        if self._selector_group:
+        selector_group = self._selector_group
+        if selector_group:
             for l in lits:
-                if abs(l) in self._selector_group:
+                if abs(l) in selector_group:
                     raise ReproError(
                         "literal %d references a group selector; reserve "
                         "problem variables before opening groups" % l)
@@ -255,9 +262,9 @@ class Solver:
             if group in self._released:
                 raise ReproError("clause group %r is released" % (group,))
             lits.append(-self._group_selector[group])
-        for l in lits:
-            self.ensure_vars(abs(l))
+        self.ensure_vars(max(map(abs, lits), default=0))
         # Root-level simplification: drop falsified lits, detect tautology.
+        assigns, level = self.assigns, self.level
         seen = set()
         out = []
         for l in lits:
@@ -265,10 +272,11 @@ class Solver:
                 return True  # tautology: trivially satisfied
             if l in seen:
                 continue
-            value = self._value(l)
-            if value is True and self.level[abs(l)] == 0:
-                return True
-            if value is False and self.level[abs(l)] == 0:
+            v = l if l > 0 else -l
+            value = assigns[v]
+            if value is not None and level[v] == 0:
+                if value is (l > 0):
+                    return True
                 continue
             seen.add(l)
             out.append(l)
@@ -289,8 +297,10 @@ class Solver:
         return True
 
     def _watch(self, clause):
-        self.watches[self._widx(-clause.lits[0])].append(clause)
-        self.watches[self._widx(-clause.lits[1])].append(clause)
+        # Watchers of literal l are registered under _widx(-l).
+        l0, l1 = clause.lits[0], clause.lits[1]
+        self.watches[2 * l0 + 1 if l0 > 0 else -2 * l0].append(clause)
+        self.watches[2 * l1 + 1 if l1 > 0 else -2 * l1].append(clause)
 
     @staticmethod
     def _widx(lit):
@@ -302,135 +312,133 @@ class Solver:
     # ------------------------------------------------------------------
     def _value(self, lit):
         v = self.assigns[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+        return v if v is None or lit > 0 else not v
 
     def _enqueue(self, lit, reason):
-        value = self._value(lit)
+        v = lit if lit > 0 else -lit
+        value = self.assigns[v]
         if value is not None:
-            return value
-        v = abs(lit)
+            return value is (lit > 0)
         self.assigns[v] = lit > 0
-        self.level[v] = self._decision_level()
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
         return True
 
-    def _decision_level(self):
-        return len(self.trail_lim)
-
-    def _new_decision_level(self):
-        self.trail_lim.append(len(self.trail))
-
     def _cancel_until(self, target_level):
-        import heapq
-
-        if self._decision_level() <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self.trail_lim[target_level]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
-            self.phase[v] = self.assigns[v]
-            self.assigns[v] = None
-            self.reason[v] = None
-            if not self._in_heap[v]:
-                self._in_heap[v] = True
-                heapq.heappush(self._heap, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        trail, assigns, phase = self.trail, self.assigns, self.phase
+        reason, activity = self.reason, self.activity
+        in_heap, heap = self._in_heap, self._heap
+        bound = trail_lim[target_level]
+        for lit in reversed(trail[bound:]):
+            v = lit if lit > 0 else -lit
+            phase[v] = assigns[v]
+            assigns[v] = None
+            reason[v] = None
+            if not in_heap[v]:
+                in_heap[v] = True
+                heappush(heap, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[target_level:]
+        self.qhead = len(trail)
 
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
     def _propagate(self):
         """Unit propagation; returns the conflicting clause or ``None``."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
+        trail, assigns, watches = self.trail, self.assigns, self.watches
+        level, reason = self.level, self.reason
+        decision_level = len(self.trail_lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = -p
             # Clauses watching ¬p (registered under _widx(p)) may now be unit.
-            idx = self._widx(p)
-            ws = self.watches[idx]
+            idx = 2 * p if p > 0 else 1 - 2 * p
+            ws = watches[idx]
             kept = []
-            i = 0
-            n = len(ws)
-            while i < n:
-                clause = ws[i]
-                i += 1
+            for i, clause in enumerate(ws):
                 lits = clause.lits
                 # Ensure the falsified watched literal sits at index 1.
-                if lits[0] == -p:
+                if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) is True:
+                first_value = assigns[first if first > 0 else -first]
+                if first_value is (first > 0):
                     kept.append(clause)
                     continue
                 # Look for a new watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[self._widx(-lits[1])].append(clause)
-                        found = True
+                    l = lits[k]
+                    if assigns[l if l > 0 else -l] is not (l < 0):
+                        lits[1], lits[k] = l, lits[1]
+                        watches[2 * l + 1 if l > 0 else -2 * l].append(clause)
                         break
-                if found:
-                    continue
-                kept.append(clause)
-                if self._value(first) is False:
-                    # Conflict: restore remaining watchers and bail out.
-                    kept.extend(ws[i:n])
-                    self.watches[idx] = kept
-                    self.qhead = len(self.trail)
-                    return clause
-                self._enqueue(first, clause)
-            self.watches[idx] = kept
+                else:
+                    kept.append(clause)
+                    if first_value is not None:
+                        # Conflict: restore remaining watchers and bail out.
+                        kept.extend(ws[i + 1:])
+                        watches[idx] = kept
+                        self.propagations += qhead - start
+                        self.qhead = len(trail)
+                        return clause
+                    v = first if first > 0 else -first
+                    assigns[v] = first > 0
+                    level[v] = decision_level
+                    reason[v] = clause
+                    trail.append(first)
+            watches[idx] = kept
+        self.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     # ------------------------------------------------------------------
     # conflict analysis
     # ------------------------------------------------------------------
     def _analyze(self, conflict):
-        """First-UIP analysis.
-
-        Returns ``(learnt_lits, backtrack_level)`` with the asserting
-        literal first in ``learnt_lits``.
-        """
+        """First-UIP analysis: returns ``(learnt_lits, backtrack_level)``
+        with the asserting literal first in ``learnt_lits``."""
+        level, reasons, trail = self.level, self.reason, self.trail
+        bump_var = self._bump_var
+        decision_level = len(self.trail_lim)
         learnt = [None]
         seen = [False] * (self.num_vars + 1)
         counter = 0
         p = None
         reason_lits = conflict.lits
-        index = len(self.trail)
+        index = len(trail)
 
         while True:
-            if isinstance(reason_lits, _Clause):  # pragma: no cover
-                reason_lits = reason_lits.lits
             for q in reason_lits:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump_var(v)
-                    if self.level[v] >= self._decision_level():
+                    bump_var(v)
+                    if level[v] >= decision_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Walk the trail back to the next marked literal.
             while True:
                 index -= 1
-                p = self.trail[index]
-                if seen[abs(p)]:
+                p = trail[index]
+                v = p if p > 0 else -p
+                if seen[v]:
                     break
             counter -= 1
-            seen[abs(p)] = False
+            seen[v] = False
             if counter == 0:
                 learnt[0] = -p
                 break
-            reason = self.reason[abs(p)]
+            reason = reasons[v]
             reason_lits = reason.lits if reason is not None else ()
             if reason is not None and reason.learnt:
                 self._bump_clause(reason)
@@ -439,14 +447,10 @@ class Solver:
         marked = set(abs(l) for l in learnt[1:])
         minimized = [learnt[0]]
         for l in learnt[1:]:
-            reason = self.reason[abs(l)]
-            if reason is None:
+            reason = reasons[abs(l)]
+            if reason is None or not all(abs(q) in marked or level[abs(q)] == 0
+                                         for q in reason.lits if q != -l):
                 minimized.append(l)
-                continue
-            if all(abs(q) in marked or self.level[abs(q)] == 0
-                   for q in reason.lits if q != -l):
-                continue  # redundant literal
-            minimized.append(l)
         learnt = minimized
 
         if len(learnt) == 1:
@@ -455,17 +459,17 @@ class Solver:
             # Second-highest decision level in the clause.
             max_i = 1
             for i in range(2, len(learnt)):
-                if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+                if level[abs(learnt[i])] > level[abs(learnt[max_i])]:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt_level = self.level[abs(learnt[1])]
+            bt_level = level[abs(learnt[1])]
         return learnt, bt_level
 
     def _analyze_final(self, p):
         """Compute the subset of assumptions responsible for falsifying
         assumption literal ``p`` (MiniSat's ``analyzeFinal``)."""
         core = [p]
-        if self._decision_level() == 0:
+        if not self.trail_lim:
             return core
         seen = [False] * (self.num_vars + 1)
         seen[abs(p)] = True
@@ -489,19 +493,13 @@ class Solver:
     # heuristics
     # ------------------------------------------------------------------
     def _bump_var(self, v):
-        import heapq
-
         self.activity[v] += self.var_inc
         if self.activity[v] > _RESCALE_LIMIT:
             for i in range(1, self.num_vars + 1):
                 self.activity[i] *= _RESCALE_FACTOR
             self.var_inc *= _RESCALE_FACTOR
-        heapq.heappush(self._heap, (-self.activity[v], v))
+        heappush(self._heap, (-self.activity[v], v))
         self._in_heap[v] = True
-
-    def _decay_activities(self):
-        self.var_inc /= self.var_decay
-        self.cla_inc /= self.cla_decay
 
     def _bump_clause(self, clause):
         clause.activity += self.cla_inc
@@ -511,28 +509,26 @@ class Solver:
             self.cla_inc *= _RESCALE_FACTOR
 
     def _pick_branch_var(self):
-        import heapq
-
+        assigns = self.assigns
         if self.random_var_freq > 0 and self.rng.random() < self.random_var_freq:
             free = [v for v in range(1, self.num_vars + 1)
-                    if self.assigns[v] is None]
+                    if assigns[v] is None]
             if free:
                 return self.rng.choice(free)
-        while self._heap:
-            neg_act, v = heapq.heappop(self._heap)
-            self._in_heap[v] = False
-            if self.assigns[v] is not None:
+        heap, in_heap, activity = self._heap, self._in_heap, self.activity
+        while heap:
+            neg_act, v = heappop(heap)
+            in_heap[v] = False
+            if assigns[v] is not None:
                 continue
-            if -neg_act != self.activity[v]:
+            if -neg_act != activity[v]:
                 # Stale entry: reinsert with the fresh activity and retry.
-                heapq.heappush(self._heap, (-self.activity[v], v))
-                self._in_heap[v] = True
+                heappush(heap, (-activity[v], v))
+                in_heap[v] = True
                 continue
             return v
-        for v in range(1, self.num_vars + 1):
-            if self.assigns[v] is None:
-                return v
-        return None
+        return next((v for v in range(1, self.num_vars + 1)
+                     if assigns[v] is None), None)
 
     def _pick_polarity(self, v):
         if self.polarity_mode == "random":
@@ -615,8 +611,7 @@ class Solver:
                          for g in sorted(self._group_selector)
                          if g not in self._released]
             assumptions = selectors + assumptions
-        for l in assumptions:
-            self.ensure_vars(abs(l))
+        self.ensure_vars(max(map(abs, assumptions), default=0))
         if not self.ok:
             self.core = []
             return UNSAT
@@ -639,7 +634,8 @@ class Solver:
                         for v in self._selector_group:
                             self.model.pop(v, None)
                     elif status == UNSAT and self.core:
-                        self.core = self._mask_selectors(self.core)
+                        self.core = [l for l in self.core if abs(l)
+                                     not in self._selector_group]
                 return status
             self.restarts += 1
             if conflict_budget is not None and \
@@ -652,27 +648,31 @@ class Solver:
 
     def _search(self, restart_budget, assumptions, start_conflicts,
                 conflict_budget, deadline, max_learnts):
+        trail, trail_lim = self.trail, self.trail_lim
+        propagate, analyze = self._propagate, self._analyze
+        cancel_until, enqueue = self._cancel_until, self._enqueue
         conflicts_here = 0
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self.ok = False
                     self.core = []
                     return UNSAT
-                learnt, bt_level = self._analyze(conflict)
-                self._cancel_until(bt_level)
+                learnt, bt_level = analyze(conflict)
+                cancel_until(bt_level)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                    enqueue(learnt[0], None)
                 else:
                     clause = _Clause(learnt, learnt=True)
                     self.learnts.append(clause)
                     self._watch(clause)
                     self._bump_clause(clause)
-                    self._enqueue(learnt[0], clause)
-                self._decay_activities()
+                    enqueue(learnt[0], clause)
+                self.var_inc /= self.var_decay
+                self.cla_inc /= self.cla_decay
                 if deadline is not None and (self.conflicts & 255) == 0 \
                         and deadline.expired():
                     return UNKNOWN
@@ -680,20 +680,20 @@ class Solver:
                         self.conflicts - start_conflicts >= conflict_budget:
                     return UNKNOWN
                 if conflicts_here >= restart_budget:
-                    self._cancel_until(0)
+                    cancel_until(0)
                     return None  # restart
                 continue
 
-            if len(self.learnts) > max_learnts + len(self.trail):
+            if len(self.learnts) > max_learnts + len(trail):
                 self._reduce_db()
 
             # Replay assumptions as the first decisions.
             next_lit = None
-            while self._decision_level() < len(assumptions):
-                p = assumptions[self._decision_level()]
+            while len(trail_lim) < len(assumptions):
+                p = assumptions[len(trail_lim)]
                 value = self._value(p)
                 if value is True:
-                    self._new_decision_level()  # dummy level
+                    trail_lim.append(len(trail))  # dummy level
                 elif value is False:
                     self.core = self._analyze_final(p)
                     return UNSAT
@@ -708,8 +708,8 @@ class Solver:
                     return SAT
                 next_lit = v if self._pick_polarity(v) else -v
             self.decisions += 1
-            self._new_decision_level()
-            self._enqueue(next_lit, None)
+            trail_lim.append(len(trail))
+            enqueue(next_lit, None)
 
 
 def solve_cnf(cnf, assumptions=(), rng=None, conflict_budget=None,

@@ -113,6 +113,26 @@ class TestEvalBitset:
         assert eval_bitset(b, matrix, memo) == 0
         assert id(a) in memo
 
+    def test_shared_memo_on_heavily_shared_dag(self):
+        """A layered DAG whose tree expansion is thousands of paths for
+        about 70 distinct nodes: every node reads nodes of the layer
+        below.  Sweeping all roots through one memo must agree with
+        per-row ``evaluate``."""
+        rng = random.Random(0)
+        variables = list(range(1, 11))
+        layer = [bf.var(v) for v in variables]
+        for _ in range(14):
+            layer = [rng.choice([bf.and_, bf.or_, bf.xor])(
+                         *rng.sample(layer, 2))
+                     if rng.random() < 0.8 else bf.not_(rng.choice(layer))
+                     for _ in range(10)]
+        matrix = random_matrix(rng, variables, 40)
+        memo = {}
+        for root in layer:
+            bits = eval_bitset(root, matrix, memo)
+            for i in range(len(matrix)):
+                assert bool((bits >> i) & 1) == root.evaluate(matrix.row(i))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_agrees_with_per_assignment_evaluate(self, seed):
