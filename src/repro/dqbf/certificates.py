@@ -8,12 +8,14 @@ dependency sets (Algorithm 1, line 19).
 
 This module is deliberately independent of the engines: it rebuilds the
 verification formula from scratch so that engine bugs cannot certify
-themselves.
+themselves, and it solves it on the Python CDCL core
+(:class:`~repro.sat.solver.ReferenceSolver`), not on the compiled core
+the engines run on, so a defect in that core cannot either.
 """
 
 from repro.formula.cnf import CNF
 from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
-from repro.sat.solver import Solver, SAT, UNSAT
+from repro.sat.solver import ReferenceSolver, SAT, UNSAT
 
 
 class CertificateResult:
@@ -63,7 +65,7 @@ def check_henkin_vector(instance, functions, deadline=None,
                 (y, sorted(illegal)))
 
     cnf, y_lits = encode_verification_formula(instance, functions)
-    solver = Solver(cnf, rng=rng)
+    solver = ReferenceSolver(cnf, rng=rng)
     status = solver.solve(deadline=deadline, conflict_budget=conflict_budget)
     if status == UNSAT:
         return CertificateResult(True)
@@ -109,7 +111,7 @@ def check_henkin_vector_incremental(instance, functions, deadline=None,
     encoder = TseitinEncoder(cnf)
     for y in instance.existentials:
         encoder.assert_iff(y, functions[y])
-    solver = Solver(cnf, rng=rng)
+    solver = ReferenceSolver(cnf, rng=rng)
     for clause in instance.matrix:
         remaining = None
         if conflict_budget is not None:
@@ -158,7 +160,7 @@ def check_false_witness(instance, x_assignment, deadline=None,
     if missing:
         return CertificateResult(False,
                                  "witness misses universals %r" % missing)
-    solver = Solver(instance.matrix, rng=rng)
+    solver = ReferenceSolver(instance.matrix, rng=rng)
     assumptions = [x if x_assignment[x] else -x
                    for x in instance.universals]
     status = solver.solve(assumptions=assumptions, deadline=deadline,

@@ -35,9 +35,53 @@ Design notes
   ``tests/sat/test_solver_golden.py``).  No blocker literals (Chu,
   Harwood & Stuckey, JSAT 2009): a clause kept on its list by a true
   blocker changes the watch-list order, and with it the trajectory.
+* **Two cores, one trajectory.**  :class:`Solver` is a facade over a
+  *core* that holds the state and runs the search: the compiled core
+  (``_cdcl.c``, a CPython extension) when it built, else
+  :class:`PythonCore`, the reference it is a port of.  ``solve`` and
+  ``add_clause`` stay methods of :class:`Solver` (tracing hooks them
+  there) and delegate; ``add_cnf`` calls ``self.add_clause`` per clause.
+  The compiled core is trajectory-exact — same decisions, watch-list
+  order, heap order, learnt clauses, models, cores and counters — which
+  takes, point by point:
+
+  - the VSIDS heap: ``heapq``'s exact ``_siftdown``/``_siftup`` over
+    ``(-activity, var)``, activity compared first, then var; stale
+    entries re-pushed lazily in ``_pick_branch_var``;
+  - IEEE doubles compiled with ``-ffp-contract=off`` and no fast-math,
+    for ``var_inc /= var_decay``, the bumps and the 1e100/1e-100
+    rescale;
+  - ``_reduce_db``: a *stable* sort by activity; locked and binary
+    learnts survive;
+  - ``max_learnts`` from ``len(self.clauses)``, which still counts
+    released clauses until ``release_group``'s lazy compaction;
+  - ``release_group`` removes the *first* occurrence from each watch
+    list; watch swaps happen in place in ``lits[0]``/``lits[1]``;
+  - callbacks into Python exactly where this core makes them, in the
+    same order: ``rng.random()``, ``rng.choice(free)``,
+    ``polarity_weights.get(v, 0.5)`` and ``deadline.expired()``.  At
+    every point where a deadline could be checked (each 256th conflict,
+    each restart) the compiled core also runs pending signal handlers
+    and offers the GIL to other threads; exceptions from callbacks and
+    handlers propagate unchanged.
+
+  ``tests/sat/test_solver_golden.py`` pins both cores to committed
+  trajectories, and ``tests/sat/test_core_lockstep.py`` runs manthan3
+  with both cores side by side, comparing them after every call.
+* **Build and fallback.**  Importing this module compiles ``_cdcl.c``
+  with the interpreter's compiler and headers (see ``_native.py``) and
+  caches the object in ``__pycache__``, keyed by a hash of the source,
+  the ABI tag and the flags; later imports only load it.  If the build
+  or the load fails, one ``RuntimeWarning`` names the error and every
+  solver runs on :class:`PythonCore`.  :data:`CORE` says which core is
+  active.  Certification does not use the compiled core at all:
+  :class:`ReferenceSolver` pins the Python core, so a defect in the
+  compiled core cannot certify its own answers.
 """
 
+import warnings
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from repro.utils.errors import ReproError
 from repro.utils.rng import make_rng
@@ -62,6 +106,12 @@ class _Clause:
         self.deleted = False
 
 
+def _knob(name):
+    """A :class:`Solver` property that reads and assigns the core's."""
+    return property(attrgetter("_core." + name),
+                    lambda self, value: setattr(self._core, name, value))
+
+
 def _luby(y, x):
     """The Luby restart sequence value ``luby(y, x)`` (MiniSat's version)."""
     size, seq = 1, 0
@@ -75,33 +125,24 @@ def _luby(y, x):
     return y ** seq
 
 
-class Solver:
-    """CDCL SAT solver.
+class PythonCore:
+    """The Python CDCL core: the reference the compiled core is checked
+    against, and the oracle certification uses.
 
-    Parameters
-    ----------
-    cnf:
-        Optional :class:`~repro.formula.cnf.CNF` loaded at construction.
-    rng:
-        Seed or ``random.Random`` for randomized heuristics.
-    polarity_mode:
-        ``"saved"`` (phase saving, the default), ``"false"``, ``"true"``,
-        or ``"random"`` (used by the sampler).
-    random_var_freq:
-        Probability of branching on a random unassigned variable instead
-        of the VSIDS maximum (sampler diversification).
+    Callers go through :class:`Solver`; the positional arguments are the
+    knobs :class:`Solver` documents, with ``rng`` already a
+    ``random.Random``.
     """
 
-    def __init__(self, cnf=None, rng=None, polarity_mode="saved",
-                 random_var_freq=0.0, default_phase=False,
-                 polarity_weights=None):
-        self.rng = make_rng(rng)
+    def __init__(self, rng, polarity_mode, random_var_freq, default_phase,
+                 polarity_weights):
+        self.rng = rng
         self.polarity_mode = polarity_mode
         self.random_var_freq = random_var_freq
         self.default_phase = default_phase
         # var -> probability of branching True (mode "weighted"); the
         # sampler adapts these to bias the distribution of drawn models.
-        self.polarity_weights = polarity_weights if polarity_weights is not None else {}
+        self.polarity_weights = polarity_weights
 
         self.num_vars = 0
         self.assigns = [None]          # var -> None/True/False, 1-based
@@ -140,9 +181,6 @@ class Solver:
         self._next_group = 0
         self._dead_clauses = 0         # released clauses awaiting compaction
 
-        if cnf is not None:
-            self.add_cnf(cnf)
-
     # ------------------------------------------------------------------
     # variable / clause management
     # ------------------------------------------------------------------
@@ -168,13 +206,6 @@ class Solver:
         """
         self.ensure_vars(self.num_vars + 1)
         return self.num_vars
-
-    def add_cnf(self, cnf, group=None):
-        """Load all clauses of a :class:`~repro.formula.cnf.CNF`."""
-        self.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause, group=group)
-        return self.ok
 
     # ------------------------------------------------------------------
     # clause groups (assumption-guarded incremental interface)
@@ -587,6 +618,15 @@ class Solver:
             "restarts": self.restarts,
         }
 
+    def clause_counts(self):
+        """Database sizes: problem clauses still listed (released ones
+        count until compaction), the live ones, and learnt clauses."""
+        return {
+            "clauses": len(self.clauses),
+            "live_clauses": len(self.clauses) - self._dead_clauses,
+            "learnts": len(self.learnts),
+        }
+
     # ------------------------------------------------------------------
     # main search
     # ------------------------------------------------------------------
@@ -710,6 +750,169 @@ class Solver:
             self.decisions += 1
             trail_lim.append(len(trail))
             enqueue(next_lit, None)
+
+
+class Solver:
+    """CDCL SAT solver.
+
+    A facade over one core: the compiled core when it built, else the
+    :class:`PythonCore`.  Both are trajectory-exact, so which one runs
+    changes only the speed.  ``solve`` and ``add_clause`` stay methods
+    of this class, where per-layer tracing hooks them.
+
+    Parameters
+    ----------
+    cnf:
+        Optional :class:`~repro.formula.cnf.CNF` loaded at construction.
+    rng:
+        Seed or ``random.Random`` for randomized heuristics.
+    polarity_mode:
+        ``"saved"`` (phase saving, the default), ``"false"``, ``"true"``,
+        ``"random"`` or ``"weighted"`` (used by the sampler).
+    random_var_freq:
+        Probability of branching on a random unassigned variable instead
+        of the VSIDS maximum (sampler diversification).
+    default_phase:
+        Saved phase of a variable that has never been assigned.
+    polarity_weights:
+        ``{var: P(branch True)}`` for ``"weighted"`` mode; the sampler
+        updates it in place between solves.
+    """
+
+    def __init__(self, cnf=None, rng=None, polarity_mode="saved",
+                 random_var_freq=0.0, default_phase=False,
+                 polarity_weights=None):
+        self._core = self._core_factory()(
+            make_rng(rng), polarity_mode, random_var_freq, default_phase,
+            polarity_weights if polarity_weights is not None else {})
+        if cnf is not None:
+            self.add_cnf(cnf)
+
+    @staticmethod
+    def _core_factory():
+        return _make_core
+
+    # Search state and counters (read-only) and heuristic knobs
+    # (assignable between solves; ``rng`` is re-seeded by the sampler).
+    num_vars = property(attrgetter("_core.num_vars"))
+    ok = property(attrgetter("_core.ok"),
+                  doc="False once a root-level conflict is known.")
+    model = property(attrgetter("_core.model"),
+                     doc="``{var: bool}`` after SAT, else None.")
+    core = property(attrgetter("_core.core"),
+                    doc="Assumption literals sufficient for UNSAT, else None.")
+    conflicts = property(attrgetter("_core.conflicts"))
+    decisions = property(attrgetter("_core.decisions"))
+    propagations = property(attrgetter("_core.propagations"))
+    restarts = property(attrgetter("_core.restarts"))
+    rng = _knob("rng")
+    polarity_mode = _knob("polarity_mode")
+    random_var_freq = _knob("random_var_freq")
+    default_phase = _knob("default_phase")
+    polarity_weights = _knob("polarity_weights")
+
+    def ensure_vars(self, n):
+        """Grow the variable space to at least ``n`` variables."""
+        self._core.ensure_vars(n)
+
+    def reserve_var(self):
+        """Allocate and return one fresh variable id.
+
+        The incremental Tseitin sink uses this to grow the solver's
+        variable space in lock-step with its encoding.
+        """
+        return self._core.reserve_var()
+
+    def add_cnf(self, cnf, group=None):
+        """Load all clauses of a :class:`~repro.formula.cnf.CNF`."""
+        self.ensure_vars(cnf.num_vars)
+        for clause in cnf.clauses:
+            self.add_clause(clause, group=group)
+        return self.ok
+
+    def add_clause(self, lits, group=None):
+        """Add a problem clause; returns ``False`` on root-level conflict.
+
+        With ``group=g`` the clause is guarded by the group's selector:
+        it constrains the search only while the group is live, and
+        :meth:`release_group` retires it.
+        """
+        return self._core.add_clause(lits, group)
+
+    def new_group(self):
+        """Open a clause group; returns its id.
+
+        Clauses added with ``group=id`` are active on every
+        :meth:`solve` until :meth:`release_group` retires them.  The
+        selector is allocated from the shared variable space, so reserve
+        the problem variables (:meth:`ensure_vars`) *before* opening
+        groups; :meth:`add_clause` rejects literals that collide with a
+        selector.
+        """
+        return self._core.new_group()
+
+    def release_group(self, group):
+        """Permanently retire a group: its clauses stop constraining
+        anything, now and on every future :meth:`solve`.  Only call
+        between ``solve()`` calls."""
+        self._core.release_group(group)
+
+    def solve(self, assumptions=(), conflict_budget=None, deadline=None):
+        """Solve under ``assumptions`` (an iterable of literals).
+
+        Returns :data:`SAT`, :data:`UNSAT`, or :data:`UNKNOWN` (budget ran
+        out).  After :data:`SAT`, :attr:`model` holds ``{var: bool}`` over
+        all variables; after :data:`UNSAT` under assumptions, :attr:`core`
+        holds a subset of the assumptions sufficient for unsatisfiability
+        (empty when the formula is unconditionally UNSAT).
+
+        Selectors of live clause groups are assumed automatically (first,
+        so group context is established before the caller's assumptions)
+        and masked out of both the model and the core.
+        """
+        return self._core.solve(assumptions, conflict_budget, deadline)
+
+    def stats(self):
+        """Search counters, in the shape the backend protocol promises.
+
+        Oracle consumers (sessions, sampler) read these through
+        ``stats()`` rather than the attributes so alternative backends
+        report real numbers instead of silently missing them.
+        """
+        return self._core.stats()
+
+    def clause_counts(self):
+        """``{"clauses", "live_clauses", "learnts"}``: database sizes
+        (released group clauses stay in ``clauses`` until compaction)."""
+        return self._core.clause_counts()
+
+
+class ReferenceSolver(Solver):
+    """A :class:`Solver` on the :class:`PythonCore`, whatever core the
+    import selected.  Certification checks the engines' answers with it,
+    so a defect in the compiled core cannot certify its own output."""
+
+    @staticmethod
+    def _core_factory():
+        return PythonCore
+
+
+def _load_compiled_core():
+    try:
+        from repro.sat import _native
+        return _native.load().Core
+    except Exception as exc:  # no compiler, no headers, failed build or load
+        warnings.warn("repro.sat.solver: compiled CDCL core unavailable "
+                      "(%s: %s); using the Python core"
+                      % (type(exc).__name__, exc), RuntimeWarning,
+                      stacklevel=2)
+        return None
+
+
+#: The core new solvers get.  Module-level so tests can swap it.
+_make_core = _load_compiled_core() or PythonCore
+#: ``"compiled"`` or ``"python"``: which core :class:`Solver` runs on.
+CORE = "python" if _make_core is PythonCore else "compiled"
 
 
 def solve_cnf(cnf, assumptions=(), rng=None, conflict_budget=None,

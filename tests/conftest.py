@@ -55,32 +55,63 @@ def brute_force_maxsat(hard, softs):
 
 
 def brute_force_dqbf_true(instance):
-    """Decide a (tiny) DQBF by enumerating all function vectors."""
-    xs = instance.universals
-    ys = instance.existentials
-    deps = {y: sorted(instance.dependencies[y]) for y in ys}
+    """Decide a (tiny) DQBF by enumerating all function vectors.
 
-    def tables():
-        spaces = []
-        for y in ys:
-            rows = 1 << len(deps[y])
-            spaces.append(range(1 << rows))
-        return itertools.product(*spaces)
+    Each candidate vector (one truth table per ``y`` over its sorted
+    dependencies) is checked against all ``2^|X|`` universal assignments
+    in one bitwise sweep: assignment ``r`` is bit ``r`` (``x_i`` is true
+    in it iff bit ``i`` of ``r`` is set), a variable is a column of such
+    bits, a clause is the OR of its literal columns, and the vector is a
+    Henkin vector iff every clause column has all bits set.  A ``y``
+    column is the OR of the minterm masks of the table rows it sets.
+    """
+    xs = list(instance.universals)
+    ys = list(instance.existentials)
+    rows = 1 << len(xs)
+    full = (1 << rows) - 1
+    columns = {x: sum(1 << r for r in range(rows) if r >> i & 1)
+               for i, x in enumerate(xs)}
+    position = {x: i for i, x in enumerate(xs)}
+    y_tables = []
+    for y in ys:
+        deps = sorted(instance.dependencies[y])
+        minterms = [0] * (1 << len(deps))
+        for r in range(rows):
+            m = 0
+            for j, x in enumerate(deps):
+                if r >> position[x] & 1:
+                    m |= 1 << j
+            minterms[m] |= 1 << r
+        tables = []
+        for table in range(1 << len(minterms)):
+            column = 0
+            for m, mask in enumerate(minterms):
+                if table >> m & 1:
+                    column |= mask
+            tables.append(column)
+        y_tables.append(tables)
 
-    for choice in tables():
-        ok = True
-        for bits in itertools.product([False, True], repeat=len(xs)):
-            assignment = dict(zip(xs, bits))
-            for y, table in zip(ys, choice):
-                row = 0
-                for i, x in enumerate(deps[y]):
-                    if assignment[x]:
-                        row |= 1 << i
-                assignment[y] = bool((table >> row) & 1)
-            if not instance.matrix.evaluate(assignment):
-                ok = False
+    # Per clause: the constant X part, then (y index, negated) pairs.
+    y_index = {y: k for k, y in enumerate(ys)}
+    clauses = []
+    for clause in instance.matrix.clauses:
+        fixed, free = 0, []
+        for l in clause:
+            v = lit_var(l)
+            if v in y_index:
+                free.append((y_index[v], not lit_sign(l)))
+            else:
+                fixed |= columns[v] if lit_sign(l) else full ^ columns[v]
+        clauses.append((fixed, free))
+
+    for choice in itertools.product(*y_tables):
+        for fixed, free in clauses:
+            column = fixed
+            for k, negated in free:
+                column |= full ^ choice[k] if negated else choice[k]
+            if column != full:
                 break
-        if ok:
+        else:
             return True
     return False
 

@@ -93,10 +93,10 @@ class TestMatrixSessionUnates:
         inst = self.CASES[0]
         session = MatrixSession(inst.matrix)
         detect_unates(inst, matrix_session=session)
-        live = sum(not c.deleted for c in session.solver.clauses)
+        live = session.solver.clause_counts()["live_clauses"]
         session.retire_dual()
         # Dual clauses are dead (unhooked; compaction may be deferred).
-        assert sum(not c.deleted for c in session.solver.clauses) < live
+        assert session.solver.clause_counts()["live_clauses"] < live
         # Extension-style queries still work after retirement.
         assert session.solve([1], purpose="extension") in (SAT, UNSAT)
 

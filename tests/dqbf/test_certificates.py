@@ -1,11 +1,18 @@
 """Tests for the independent certificate checker."""
 
+import sys
+
+from repro.api import Solver as Synthesizer
+from repro.api import Status
+from repro.benchgen import generate_planted_instance
 from repro.dqbf.certificates import check_henkin_vector, \
     counterexample_to_vector, encode_verification_formula
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
-from repro.sat.solver import Solver, SAT
+from repro.portfolio.runner import evaluate_run
+from repro.sat import solver as sat_solver
+from repro.sat.solver import Solver, SAT, UNSAT
 
 
 def xy_instance():
@@ -77,3 +84,61 @@ class TestCounterexampleExpansion:
         assert set(x_assign) == {1, 2}
         assert y_prime == {3: True}
         assert x_assign[1] is False  # y=1 only violates ϕ when x1=0
+
+
+class _LyingCore:
+    """The engines' core with a soundness defect: from the first SAT
+    answer it gives the verifier (a counterexample to the candidate
+    vector) on, every SAT answer is reported as UNSAT.  The engine then
+    claims a wrong vector valid, and a certifier solving on this core
+    would agree with it."""
+
+    lies = 0
+
+    def __init__(self, *args):
+        self._inner = self.inner_factory(*args)
+
+    def solve(self, assumptions, conflict_budget, deadline):
+        status = self._inner.solve(assumptions, conflict_budget, deadline)
+        if status == SAT and (_LyingCore.lies or any(
+                frame.f_code.co_name == "verify_candidates"
+                for frame in _callers())):
+            _LyingCore.lies += 1
+            return UNSAT
+        return status
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __setattr__(self, name, value):
+        if name == "_inner":
+            object.__setattr__(self, name, value)
+        else:
+            setattr(self._inner, name, value)
+
+
+def _callers():
+    frame = sys._getframe(2)
+    while frame is not None:
+        yield frame
+        frame = frame.f_back
+
+
+class TestIndependentOfEngineCore:
+    def test_a_lying_engine_core_never_certifies(self, monkeypatch):
+        """Certification runs on the Python core, not on the core the
+        engine used: a flipped answer surfaces as an INVALID record."""
+        instance = generate_planted_instance(
+            num_universals=12, num_existentials=4, dep_width=10,
+            region_width=3, rules_per_y=6, seed=7)
+        monkeypatch.setattr(_LyingCore, "inner_factory",
+                            staticmethod(sat_solver._make_core),
+                            raising=False)
+        monkeypatch.setattr(_LyingCore, "lies", 0)
+        monkeypatch.setattr(sat_solver, "_make_core", _LyingCore)
+        result = Synthesizer("manthan3", seed=0).solve(instance).result
+        assert _LyingCore.lies >= 1
+        assert result.status == Status.SYNTHESIZED  # the wrong claim
+        record = evaluate_run("manthan3", instance, result)
+        assert record.certified is False
+        assert record.status == Status.INVALID

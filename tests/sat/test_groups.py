@@ -126,7 +126,7 @@ class TestPersistentState:
         cnf = _random_3sat(40, 180, seed=7)
         solver = Solver(cnf, rng=1)
         first = solver.solve()
-        learnt_after_first = len(solver.learnts)
+        learnt_after_first = solver.clause_counts()["learnts"]
         conflicts_first = solver.conflicts
         assert first in (SAT, UNSAT)
         assert learnt_after_first > 0
@@ -134,7 +134,7 @@ class TestPersistentState:
         assert second == first
         # The DB was not rebuilt: prior learnts are still there, and the
         # re-solve is (near-)free because its lemmas persist.
-        assert len(solver.learnts) >= learnt_after_first
+        assert solver.clause_counts()["learnts"] >= learnt_after_first
         assert solver.conflicts - conflicts_first <= conflicts_first
 
     def test_learnts_survive_group_release(self):
@@ -146,10 +146,10 @@ class TestPersistentState:
         solver.add_clause((1,), group=group)
         solver.add_clause((-1, 2), group=group)
         solver.solve()
-        learnts = len(solver.learnts)
+        learnts = solver.clause_counts()["learnts"]
         solver.release_group(group)
         status = solver.solve(assumptions=[-1])
-        assert len(solver.learnts) >= learnts
+        assert solver.clause_counts()["learnts"] >= learnts
         if status == SAT:
             assert solver.model[1] is False
 

@@ -186,5 +186,5 @@ class TestNativeInternals:
             for lits in ((1, 2), (-1, 3), (2, -3)):
                 solver.add_clause(lits, group=group)
             solver.release_group(group)
-        assert len(solver.clauses) < 70 * 3
+        assert solver.clause_counts()["clauses"] < 70 * 3
         assert solver.solve() == SAT

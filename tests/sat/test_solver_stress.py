@@ -4,7 +4,7 @@ import random
 
 from repro.formula.cnf import CNF
 from repro.sampling.xor import add_parity_constraint
-from repro.sat.solver import Solver, SAT, UNSAT
+from repro.sat.solver import ReferenceSolver, Solver, SAT, UNSAT
 
 from tests.conftest import brute_force_satisfiable, random_cnf
 
@@ -104,7 +104,8 @@ class TestLearntClauseManagement:
             assert (status == SAT) == expected
 
     def _solver_with_learnts(self, seed=3):
-        """A solved solver holding plenty of wide learnt clauses."""
+        """A solved Python core holding plenty of wide learnt clauses
+        (the test reads its internals, so it is pinned to that core)."""
         rng = random.Random(seed)
         for attempt in range(20):
             # uniform 3-SAT near the phase transition: conflict-rich,
@@ -114,7 +115,7 @@ class TestLearntClauseManagement:
                 chosen = rng.sample(range(1, 31), 3)
                 cnf.add_clause([v if rng.random() < 0.5 else -v
                                 for v in chosen])
-            solver = Solver(cnf, rng=attempt)
+            solver = ReferenceSolver(cnf, rng=attempt)._core
             solver.solve()
             if sum(1 for c in solver.learnts if len(c.lits) > 2) >= 6:
                 return solver
