@@ -25,6 +25,12 @@ OP_AND = "and"
 OP_OR = "or"
 OP_XOR = "xor"
 
+#: Integer op codes for the structural hash.  ``str`` hashes vary with
+#: ``PYTHONHASHSEED`` and ``hash(None)`` with the address of ``None``, so
+#: neither may enter it.
+_OP_CODES = {OP_CONST: 0, OP_VAR: 1, OP_NOT: 2, OP_AND: 3, OP_OR: 4,
+             OP_XOR: 5}
+
 _INTERN = {}
 
 
@@ -33,6 +39,11 @@ class BoolExpr:
 
     Do not call the constructor directly; use the module-level smart
     constructors so that interning and simplification apply.
+
+    The hash is structural — op code, payload and the children's hashes,
+    never ``id()`` — so it is the same in every process.  ``xor`` orders
+    its operands by it and sets of nodes iterate by it, so the functions
+    a seeded run synthesizes print the same from run to run.
     """
 
     __slots__ = ("op", "children", "payload", "_hash", "_support")
@@ -41,7 +52,8 @@ class BoolExpr:
         self.op = op
         self.children = children
         self.payload = payload
-        self._hash = hash((op, payload) + tuple(id(c) for c in children))
+        self._hash = hash((_OP_CODES[op], 0 if payload is None else payload)
+                          + tuple(c._hash for c in children))
         self._support = None
 
     def __hash__(self):

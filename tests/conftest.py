@@ -156,8 +156,7 @@ def rng():
     return random.Random(0xBEEF)
 
 
-@pytest.fixture
-def paper_example_instance():
+def paper_example():
     """Example 1 of the paper (§5), fully Tseitin-encoded.
 
     ϕ = (x1 ∨ y1) ∧ (y2 ↔ (y1 ∨ ¬x2)) ∧ (y3 ↔ (x2 ∨ x3)),
@@ -178,6 +177,11 @@ d 6 2 3 0
 -2 6 0
 -3 6 0
 """, name="paper-example-1")
+
+
+@pytest.fixture
+def paper_example_instance():
+    return paper_example()
 
 
 @pytest.fixture

@@ -181,6 +181,55 @@ class TestHelpers:
         assert "v1" in text and "~v2" in text
 
 
+#: Builds one DAG (xors whose operands must be sorted, a shared subterm,
+#: constants) and prints every node's hash plus the xor operand order.
+_HASH_PROBE = """
+import json
+from repro.formula import boolfunc as bf
+v = [bf.var(i) for i in range(1, 7)]
+shared = bf.and_(v[0], bf.not_(v[1]))
+exprs = [bf.xor(v[5], v[2], shared), bf.xor(shared, v[4]),
+         bf.or_(shared, bf.xor(v[3], v[0]), bf.TRUE),
+         bf.ite(v[2], bf.xor(v[1], v[4], v[0]), bf.FALSE)]
+nodes, seen = [], set()
+for root in exprs:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.children)
+print(json.dumps([[n.to_infix(), n._hash] for n in nodes]
+                 + [[e.to_infix() for e in exprs]]))
+"""
+
+
+class TestStructuralHash:
+    def test_hash_and_xor_order_independent_of_process(self):
+        """Two interpreters with different ``PYTHONHASHSEED`` build the
+        same DAG with the same hashes and the same xor operand order."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(bf.__file__).resolve().parents[2])
+        outputs = []
+        for seed in ("3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", _HASH_PROBE], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) > 100
+
+    def test_xor_canonical_under_operand_order(self):
+        x, y, z = bf.var(1), bf.var(2), bf.and_(bf.var(3), bf.var(4))
+        assert bf.xor(y, x) is bf.xor(x, y)
+        assert bf.xor(z, y, x) is bf.xor(x, z, y)
+
+
 # ----------------------------------------------------------------------
 # property-based: random expressions evaluate consistently
 # ----------------------------------------------------------------------

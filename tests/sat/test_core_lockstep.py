@@ -12,9 +12,10 @@ return value (or raised exception), ``ok``, ``num_vars``, ``model``
 (including its key order), ``core``, ``stats()``, ``clause_counts()``,
 the number of ``deadline.expired()`` calls and ``rng.getstate()``.
 
-Suite-level digests cannot give this evidence: a campaign's printed
-function vectors depend on ``BoolExpr`` hashing, which mixes ``id()``,
-so they differ from run to run regardless of the solver.
+The same run checks the small suite against its committed golden
+engine trajectories (``tests/core/golden_engine_trajectories.json``,
+see ``tests/core/test_engine_golden.py``), so pinning the suite costs
+no extra solves.
 """
 
 import copy
@@ -26,6 +27,8 @@ from repro.api import Solver as Synthesizer
 from repro.api import Status
 from repro.benchgen import build_suite, generate_planted_instance
 from repro.sat import solver as sat_solver
+
+from tests.core.test_engine_golden import golden, record, small_suite_keys
 
 pytestmark = pytest.mark.skipif(
     sat_solver.CORE != "compiled",
@@ -160,9 +163,13 @@ def test_manthan3_runs_identically_on_both_cores(monkeypatch):
     instances.append(generate_planted_instance(**REDUCED_PLANTED))
     before = LockstepCore.calls
     statuses = []
+    keys = small_suite_keys()
     for instance in instances:
         solution = Synthesizer("manthan3", seed=0).solve(instance)
         statuses.append(solution.status)
+        if instance.name in keys:
+            assert record(solution) == golden()[keys[instance.name]], \
+                instance.name
     # the run exercised the cores, and decided most instances
     assert LockstepCore.calls - before > 10_000
     decided = sum(s in (Status.SYNTHESIZED, Status.FALSE) for s in statuses)
