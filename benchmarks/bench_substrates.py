@@ -81,26 +81,12 @@ def test_maxsat_linear(benchmark):
 
 
 def test_sampler_throughput(benchmark):
-    """Persistent-solver sampling (the default incremental path)."""
+    """Persistent-solver sampling."""
     cnf = _random_3sat(60, 2.0, seed=3)
 
     def draw():
         return sample_models(cnf, 20, rng=4,
                              weighted_vars=list(range(1, 10)))
-
-    samples = benchmark(draw)
-    assert len(samples) == 20
-
-
-def test_sampler_throughput_fresh(benchmark):
-    """Fresh-solver-per-draw fallback — the baseline the persistent
-    sampler is measured against."""
-    cnf = _random_3sat(60, 2.0, seed=3)
-
-    def draw():
-        return sample_models(cnf, 20, rng=4,
-                             weighted_vars=list(range(1, 10)),
-                             incremental=False)
 
     samples = benchmark(draw)
     assert len(samples) == 20

@@ -8,13 +8,11 @@ tree's 1-paths.  Discovered uses of ``yj`` features are recorded in the
 dependency bookkeeping ``D`` (line 12) so ``FindOrder`` can later produce
 a valid total order.
 
-Samples may be given as assignment dicts (the row-oriented fallback) or
-as a packed :class:`~repro.formula.bitvec.SampleMatrix`; with
-``Manthan3Config.bitparallel`` (the default) ``learn_all_candidates``
-packs dict samples once and trains every tree from column bitsets — no
-per-sample row dicts are ever materialised, and split scoring is
-popcounts instead of Python row loops.  Both paths grow identical trees
-(see :mod:`repro.learning.decision_tree`).
+Samples live in a packed :class:`~repro.formula.bitvec.SampleMatrix`
+(``learn_all_candidates`` packs assignment dicts once up front), and
+every tree trains from its column bitsets — no per-sample row dicts are
+ever materialised, and split scoring is popcounts instead of Python row
+loops (see :mod:`repro.learning.decision_tree`).
 """
 
 import time
@@ -152,10 +150,9 @@ def learn_candidate(instance, yi, samples, tracker, config, fixed=(),
     """Learn the candidate ``fi`` for ``yi``; returns ``(expr, used_ys)``
     and updates ``tracker`` (Algorithm 2).
 
-    ``samples`` is either a list of assignment dicts (row path) or a
-    packed :class:`SampleMatrix` (bit-parallel path) — the trained tree
-    is identical either way.  ``stats`` (a dict) accumulates fit wall
-    time, tree count, and bitwise-op count across calls.
+    ``samples`` is a packed :class:`SampleMatrix`.  ``stats`` (a dict)
+    accumulates fit wall time, tree count, and bitwise-op count across
+    calls.
     """
     features = feature_set_for(instance, yi, tracker, fixed=fixed,
                                use_y_features=config.use_y_features)
@@ -164,13 +161,8 @@ def learn_candidate(instance, yi, samples, tracker, config, fixed=(),
         min_impurity_decrease=config.tree_min_impurity_decrease,
     )
     started = time.perf_counter()
-    if isinstance(samples, SampleMatrix):
-        tree.fit_bitset(samples.columns, samples.column(yi), features,
-                        samples.num_rows)
-    else:
-        rows = [{f: int(model[f]) for f in features} for model in samples]
-        labels = [int(model[yi]) for model in samples]
-        tree.fit(rows, labels, features)
+    tree.fit_bitset(samples.columns, samples.column(yi), features,
+                    samples.num_rows)
     if stats is not None:
         stats["fit_s"] = stats.get("fit_s", 0.0) + \
             (time.perf_counter() - started)
@@ -188,14 +180,13 @@ def learn_all_candidates(instance, samples, config, fixed=None, stats=None):
     candidate.  Returns ``(candidates, tracker)`` where ``candidates``
     includes the fixed functions.
 
-    With ``config.bitparallel`` dict samples are packed into a
-    :class:`SampleMatrix` once up front (a matrix passed in directly is
-    used as-is).  When ``stats`` (a dict) is supplied, learning-phase
-    counters are recorded into it: mode, per-fit wall time, tree count,
-    and bitwise-op count.
+    ``samples`` is a :class:`SampleMatrix`, or assignment dicts that are
+    packed into one up front.  When ``stats`` (a dict) is supplied,
+    learning-phase counters are recorded into it: per-fit wall time,
+    tree count, and bitwise-op count.
     """
     fixed = dict(fixed or {})
-    if config.bitparallel and not isinstance(samples, SampleMatrix):
+    if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix.from_models(samples)
     tracker = DependencyTracker(instance.existentials)
     tracker.seed_subset_pairs(instance)
@@ -216,7 +207,5 @@ def learn_all_candidates(instance, samples, config, fixed=None, stats=None):
                                   fixed=fixed, stats=fit_stats)
         candidates[yi] = expr
     if stats is not None:
-        stats["mode"] = ("bitparallel"
-                        if isinstance(samples, SampleMatrix) else "dict")
         stats.update(fit_stats)
     return candidates, tracker

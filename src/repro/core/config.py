@@ -49,16 +49,15 @@ class Manthan3Config:
     sat_conflict_budget:
         Per-oracle-call conflict cap (``None`` = unbounded).
     sat_backend:
-        Which :mod:`repro.sat.backend` oracle the incremental sessions
-        and the sampler run on: ``"python"`` (the reference CDCL, the
-        default — every environment has it), ``"python-emulated"``
-        (same CDCL behind the generic selector-group emulation layer),
-        or ``"pysat"``/``"pysat:<solver>"`` (the optional python-sat
+        Which :mod:`repro.sat.backend` oracle the sessions and the
+        sampler run on: ``"python"`` (the default, present everywhere:
+        the compiled CDCL core, or the Python core when the compiled
+        one did not build), ``"python-emulated"`` (same CDCL behind the
+        generic selector-group emulation layer), or
+        ``"pysat"``/``"pysat:<solver>"`` (the optional python-sat
         bridge; selecting it without the package installed raises at
-        session construction).  The fresh fallback path
-        (``incremental=False``) always uses the reference solver, and
-        backends that lack weighted-polarity sampling keep the
-        reference solver for the sampler only.
+        session construction).  Backends that lack weighted-polarity
+        sampling keep ``"python"`` for the sampler only.
     sat_backend_fallbacks:
         Backend names tried, in order, when the live oracle backend
         fails mid-run (:class:`~repro.sat.backend.BackendUnavailableError`
@@ -69,24 +68,6 @@ class Manthan3Config:
         ``["python"]`` — the reference backend is always present, so a
         crashed optional backend degrades instead of killing the run.
         An empty chain restores the old fail-fast behavior.
-    bitparallel:
-        Run learning and repair-side candidate evaluation on the
-        bit-parallel simulation substrate
-        (:mod:`repro.formula.bitvec`): samples are packed into
-        column-major bitset matrices, decision-tree split scoring is
-        popcounts, and counterexample evaluation is a batched bitwise
-        DAG sweep.  ``False`` falls back to per-row dicts and
-        per-assignment evaluation (the seed behavior) — kept selectable
-        for A/B comparison; the two paths produce identical trees and
-        identical repair decisions, so verdicts match exactly.
-    incremental:
-        Run the oracle loop on persistent solver sessions
-        (:mod:`repro.core.sessions`): one E-solver whose candidate
-        links live in releasable clause groups, one matrix solver
-        shared by the extension/repair/unate checks, and a persistent
-        sampling solver.  ``False`` falls back to fresh solvers per
-        oracle call (the seed behavior) — kept so the equivalence suite
-        and the engine-loop benchmark can compare the two paths.
     phase_budgets:
         Optional ``{phase_name: seconds}`` wall-clock sub-budgets for
         individual pipeline phases (see :mod:`repro.core.pipeline`).  A
@@ -123,8 +104,6 @@ class Manthan3Config:
                  sat_conflict_budget=None,
                  sat_backend="python",
                  sat_backend_fallbacks=("python",),
-                 bitparallel=True,
-                 incremental=True,
                  phase_budgets=None,
                  phase_conflict_budgets=None,
                  seed=None):
@@ -146,8 +125,6 @@ class Manthan3Config:
         self.sat_conflict_budget = sat_conflict_budget
         self.sat_backend = sat_backend
         self.sat_backend_fallbacks = list(sat_backend_fallbacks)
-        self.bitparallel = bitparallel
-        self.incremental = incremental
         self.phase_budgets = dict(phase_budgets) if phase_budgets else None
         self.phase_conflict_budgets = (dict(phase_conflict_budgets)
                                        if phase_conflict_budgets else None)

@@ -12,11 +12,11 @@ anytime partials.
 
 The context also owns the run's RNG discipline.  ``spawn`` consumes
 parent-RNG state, so the *sequence* of ``ctx.spawn(salt)`` calls is part
-of the engine's trajectory contract: the staged pipeline issues exactly
-the spawns of the pre-pipeline monolith (sampler = 1, preprocess = 2,
-verify = 100+iteration, repair = 200+iteration, oracle sessions from the
-separate ``oracle_rng`` stream), which is what makes the two
-trajectory-equivalent — same statuses *and* same functions.
+of the engine's trajectory contract: sampler = 1, preprocess = 2,
+verify = 100+iteration, repair = 200+iteration, and the oracle sessions
+from the separate ``oracle_rng`` stream (matrix = 1, verifier = 2).
+The committed golden trajectories (``tests/core/test_engine_golden.py``)
+pin the result — same statuses *and* same functions.
 """
 
 from repro.core.config import Manthan3Config
@@ -105,10 +105,9 @@ class SynthesisContext:
         self.active_config = self.config
         self.stopwatch = Stopwatch()
         self.rng = make_rng(self.config.seed)
-        # Drawn unconditionally so the sampler/preprocess/loop streams
-        # below are identical whether or not sessions are built — the
-        # incremental and fresh paths then diverge only where solver
-        # persistence itself makes them diverge.
+        # Drawn here, before any phase spawns, so the sampler/
+        # preprocess/loop streams do not depend on when (or whether) a
+        # phase builds the oracle sessions.
         self.oracle_rng = spawn(self.rng, 5)
         self.stats = {"samples": 0, "repair_iterations": 0,
                       "candidates_learned": 0}

@@ -9,8 +9,9 @@ pipe for ``solve_batch()`` (the relay stamps ``engine``/``instance`` on
 each event so a batch listener can tell the streams apart).
 
 Events are plain picklable value objects; emitting them costs nothing
-when no listener is subscribed (guarded at the emission sites, gated at
-≤2% overhead by ``benchmarks/bench_pipeline_overhead.py``).
+when no listener is subscribed: every emission site is guarded, so no
+event object is constructed (``tests/api/test_events.py`` makes
+construction raise and solves anyway).
 
 The event vocabulary:
 

@@ -22,11 +22,9 @@ over a shared :class:`~repro.core.context.SynthesisContext`, and a
   :mod:`repro.portfolio.parallel`), not a code fork: e.g.
   ``manthan3-nopre`` is the default list minus ``"preprocess"``.
 
-The default phase list reproduces the pre-pipeline monolith
-trajectory-for-trajectory: same RNG spawn sequence, same oracle calls,
-same statuses *and* functions (asserted by
-``tests/core/test_pipeline.py`` against the frozen baseline in
-``benchmarks/monolith_baseline.py``).
+Seeded runs are pinned trajectory-for-trajectory — status, printed
+function vector, repair iterations and oracle counters — by the
+committed golden trajectories of ``tests/core/test_engine_golden.py``.
 """
 
 from repro.core.candidates import run_learning
@@ -117,23 +115,21 @@ def unit_fastpath(ctx):
 def sample(ctx):
     """Data generation (Algorithm 1, line 1).
 
-    Builds the oracle sessions first — so every oracle from here on,
-    sampler included, is session-backed — then draws the training set.
-    With bitparallel the draw packs straight into a column-major
-    :class:`SampleMatrix`; the learner never sees a per-sample dict.
+    Builds the oracle sessions first, then draws the training set.  The
+    draw packs straight into a column-major :class:`SampleMatrix`; the
+    learner never sees a per-sample dict.
     """
     build_sessions(ctx)
     config = ctx.config
     weighted = ctx.instance.existentials if config.adaptive_sampling else ()
     ctx.sampler = Sampler(ctx.instance.matrix, rng=ctx.spawn(1),
                           weighted_vars=weighted,
-                          incremental=config.incremental,
                           backend=config.sat_backend,
                           fallbacks=config.sat_backend_fallbacks)
     ctx.samples = ctx.sampler.draw(config.num_samples,
                                    deadline=ctx.deadline,
                                    conflict_budget=ctx.conflict_budget,
-                                   packed=config.bitparallel)
+                                   packed=True)
     ctx.stats["samples"] = len(ctx.samples)
     if not ctx.samples:
         # ϕ itself is unsatisfiable: no X has a Y extension.
@@ -161,8 +157,8 @@ def verify_repair(ctx):
         return Finish(Status.TIMEOUT,
                       reason="pipeline truncated before the "
                              "verify-repair loop")
-    ctx.cex_matrix = SampleMatrix(instance.universals) \
-        if config.bitparallel else None
+    build_sessions(ctx)
+    ctx.cex_matrix = SampleMatrix(instance.universals)
     ctx.stagnation = 0
     ctx.repair_counts = {}
     ctx.non_repairable = dict(ctx.fixed)

@@ -5,9 +5,9 @@ Mirrors the paper implementation's use of preprocessing before learning:
 * **Unates** (inherited from Manthan): if flipping ``yi`` from 0 to 1 can
   never falsify ϕ (positive unate), the constant function 1 is a correct
   Henkin function for ``yi`` (constants trivially satisfy any dependency
-  set); dually for negative unates.  Each check is one SAT call on a
-  two-cofactor formula, and fixed units are added to the working matrix
-  so later checks benefit.
+  set); dually for negative unates.  Each check is one assumption query
+  against the engine's persistent ϕ-solver, and fixed units are
+  committed to it so later checks benefit.
 * **Unique definitions** (the UNIQUE component): syntactic gate matching
   first, then Padoa's method + truth-table extraction for small
   dependency sets.  A definition whose support fits inside ``H_i`` is a
@@ -15,11 +15,9 @@ Mirrors the paper implementation's use of preprocessing before learning:
 """
 
 from repro.formula import boolfunc as bf
+from repro.core.sessions import build_sessions
 from repro.definability.gates import find_gate_definitions
 from repro.definability.padoa import is_uniquely_defined, extract_definition
-from repro.formula.cnf import CNF
-from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
-from repro.sat.solver import Solver, SAT, UNSAT
 from repro.utils.rng import spawn
 
 
@@ -33,12 +31,12 @@ def run_preprocess(ctx):
     that strikes mid-pass still leaves everything fixed so far on the
     context — a truncated phase loses nothing it accumulated.
     """
+    build_sessions(ctx)
     fixed = {}
     stats = {}
     try:
-        preprocess(ctx.instance, ctx.active_config,
+        preprocess(ctx.instance, ctx.active_config, ctx.matrix_session,
                    deadline=ctx.deadline, rng=spawn(ctx.rng, 2),
-                   matrix_session=ctx.matrix_session,
                    fixed=fixed, stats=stats)
     finally:
         ctx.fixed = fixed
@@ -58,64 +56,33 @@ class PreprocessOutcome:
         self.stats = stats
 
 
-def detect_unates(instance, deadline=None, conflict_budget=None, rng=None,
-                  matrix_session=None, out=None):
+def detect_unates(instance, matrix_session, deadline=None,
+                  conflict_budget=None, out=None):
     """Find unate existentials; returns ``{y: TRUE|FALSE}``.
 
     ``yi`` is positive unate iff ``ϕ|_{yi=0} ∧ ¬ϕ|_{yi=1}`` is UNSAT —
-    then ``fi = 1``; negative unate dually with ``fi = 0``.  Fixed values
-    are committed to a working copy of the matrix so subsequent checks
-    see them (order-dependent, as in Manthan).
-
-    With ``matrix_session`` each check is an assumption query against
-    the session's persistent ϕ-solver (its lazily-built dual rail
-    stands in for the cofactor construction), and fixed values are
-    committed as permanent units — the session-side equivalent of the
-    working copy.
+    then ``fi = 1``; negative unate dually with ``fi = 0``.  Each check
+    is an assumption query against ``matrix_session``'s persistent
+    ϕ-solver (its lazily-built dual rail stands in for the cofactor
+    construction), and fixed values are committed to it as permanent
+    units, so subsequent checks see them (order-dependent, as in
+    Manthan).
 
     ``out`` (a dict) is an optional in-place accumulator: unates found
     before a SAT call exhausts its budget survive the unwind, which is
     what lets a phase-budgeted pipeline keep a truncated pass's work.
     """
-    working = None if matrix_session is not None else instance.matrix.copy()
     fixed = {} if out is None else out
     for y in instance.existentials:
         if deadline is not None and deadline.expired():
             break
         for value, constant in ((True, bf.TRUE), (False, bf.FALSE)):
-            if matrix_session is not None:
-                unate = matrix_session.unate_check(
-                    y, value, deadline=deadline,
-                    conflict_budget=conflict_budget)
-            else:
-                unate = _is_unate(working, y, value, deadline=deadline,
-                                  conflict_budget=conflict_budget, rng=rng)
-            if unate:
+            if matrix_session.unate_check(y, value, deadline=deadline,
+                                          conflict_budget=conflict_budget):
                 fixed[y] = constant
-                if matrix_session is not None:
-                    matrix_session.add_unit(y if value else -y)
-                else:
-                    working.add_unit(y if value else -y)
+                matrix_session.add_unit(y if value else -y)
                 break
     return fixed
-
-
-def _is_unate(matrix, y, positive, deadline=None, conflict_budget=None,
-              rng=None):
-    """One unate check: is ``ϕ|_{y=¬v} ∧ ¬(ϕ|_{y=v})`` UNSAT?"""
-    v_true = {y: not positive}
-    cofactor_off = matrix.simplified(v_true)           # ϕ with y = ¬v
-    if any(len(c) == 0 for c in cofactor_off.clauses):
-        # ϕ|_{y=¬v} is UNSAT: implication holds vacuously.
-        return True
-    cofactor_on = matrix.simplified({y: positive})     # ϕ with y = v
-    check = cofactor_off.copy()
-    check.num_vars = max(check.num_vars, cofactor_on.num_vars)
-    encoder = TseitinEncoder(check)
-    encoder.assert_expr(negated_cnf_expr(cofactor_on))
-    solver = Solver(check, rng=rng)
-    status = solver.solve(deadline=deadline, conflict_budget=conflict_budget)
-    return status == UNSAT
 
 
 def extract_unique_functions(instance, skip=(), max_table_bits=8,
@@ -202,16 +169,15 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
     return fixed, stats
 
 
-def preprocess(instance, config, deadline=None, rng=None,
-               matrix_session=None, fixed=None, stats=None):
+def preprocess(instance, config, matrix_session, deadline=None, rng=None,
+               fixed=None, stats=None):
     """Run the configured preprocessing passes; returns
     :class:`PreprocessOutcome`.
 
-    ``matrix_session`` routes the unate checks through the engine's
-    persistent ϕ-solver; its dual-rail apparatus is retired here, the
-    moment the unate pass ends — even when that pass unwinds on an
-    exhausted budget — so the verify–repair loop never carries those
-    clauses.
+    The unate checks run on ``matrix_session``, the engine's persistent
+    ϕ-solver; its dual-rail apparatus is retired here, the moment the
+    unate pass ends — even when that pass unwinds on an exhausted
+    budget — so the verify–repair loop never carries those clauses.
 
     ``fixed`` / ``stats`` are optional in-place accumulators: when a
     SAT call exhausts its budget mid-pass, everything fixed up to that
@@ -225,17 +191,13 @@ def preprocess(instance, config, deadline=None, rng=None,
     if config.use_unate_detection:
         unates = {}
         try:
-            detect_unates(instance, deadline=deadline,
+            detect_unates(instance, matrix_session, deadline=deadline,
                           conflict_budget=config.sat_conflict_budget,
-                          rng=rng, matrix_session=matrix_session,
                           out=unates)
         finally:
             fixed.update(unates)
             stats["unates"] = len(unates)
-            if matrix_session is not None:
-                matrix_session.retire_dual()
-    elif matrix_session is not None:
-        matrix_session.retire_dual()
+            matrix_session.retire_dual()
     if config.use_unique_extraction:
         # The unique pass gets its own accumulator: ``input_ok`` treats
         # membership in its dict as "accepted definition", which must

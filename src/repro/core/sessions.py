@@ -1,10 +1,11 @@
 """Incremental oracle sessions: the persistent solvers behind the loop.
 
-The verify–repair loop is oracle-bound, and every oracle in the fresh
-path pays full price: a new Tseitin encoding and a new CDCL solver per
-call, discarding learnt clauses, VSIDS activity, and phase state each
-time.  This module keeps **two long-lived solver sessions** per engine
-run instead (MiniSat-style incremental solving under assumptions):
+The verify–repair loop is oracle-bound.  Rather than a new Tseitin
+encoding and a new CDCL solver per call, which would discard learnt
+clauses, VSIDS activity and phase state each time, every engine run
+keeps **two long-lived solver sessions** (MiniSat-style incremental
+solving under assumptions; Eén & Sörensson, "Temporal Induction by
+Incremental SAT Solving", 2003):
 
 * :class:`VerifierSession` — one persistent solver for the error
   formula ``E(X, Y') = ¬ϕ ∧ ⋀(y ↔ f_y)``.  ``¬ϕ`` is encoded once,
@@ -22,14 +23,12 @@ run instead (MiniSat-style incremental solving under assumptions):
   pay for it.
 
 Both sessions expose ``stats()`` so the engine can report per-oracle
-call/conflict/encode-reuse counters.  The fresh-solver path
-(``Manthan3Config.incremental=False``) bypasses this module entirely,
-which is what the equivalence suite tests against.
+call/conflict/encode-reuse counters.
 
 Both sessions are written against the :class:`~repro.sat.backend.
 SatBackend` protocol, not the concrete CDCL: ``Manthan3Config.
-sat_backend`` selects the oracle implementation (the reference
-``python`` backend by default), and everything a session touches —
+sat_backend`` selects the oracle implementation (the ``python`` backend
+by default), and everything a session touches —
 groups, assumptions, cores, budgets, the ``stats()`` counters — is
 protocol surface, so an alternative backend drops in without changes
 here.
@@ -60,15 +59,18 @@ _ORACLE_FAILURES = (BackendUnavailableError, MemoryError)
 
 
 def build_sessions(ctx):
-    """Attach the run's oracle sessions to the synthesis context.
+    """Attach the run's oracle sessions to the synthesis context, once.
 
-    A no-op on the fresh path (``config.incremental=False``); otherwise
-    builds one :class:`MatrixSession` and one :class:`VerifierSession`
+    Builds one :class:`MatrixSession` and one :class:`VerifierSession`
     on the configured SAT backend, seeded from the context's dedicated
-    oracle stream, so the root sampler/preprocess/loop streams are
-    untouched either way.
+    oracle stream (salt 1, then salt 2), so the root
+    sampler/preprocess/loop streams are untouched.  Every phase that
+    queries a session calls this first; only the first call builds, so
+    a pipeline that starts past the sample phase (or a hand-built
+    context) gets the same sessions, and a context that already carries
+    a matrix session keeps it.
     """
-    if not ctx.config.incremental:
+    if ctx.matrix_session is not None:
         return
     backend = ctx.config.sat_backend
     fallbacks = ctx.config.sat_backend_fallbacks
@@ -339,10 +341,10 @@ class MatrixSession:
         """Is ``ϕw|_{y=¬v} ∧ ¬(ϕw|_{y=v})`` UNSAT?  (``v = positive``.)
 
         ``ϕw`` is ``ϕ`` plus the units committed so far — the primed
-        side sees them through the assumed equality selectors, so the
-        check matches the fresh path's working-matrix semantics.
-        Returns ``True`` only on a definitive UNSAT (an exhausted
-        budget is *not* unate, as in the fresh path).
+        side sees them through the assumed equality selectors, so each
+        check sees every constant fixed before it (order-dependent, as
+        in Manthan).  Returns ``True`` only on a definitive UNSAT (an
+        exhausted budget is *not* unate).
 
         The retry loop is unate-specific: the query's assumptions name
         dual-rail variables that a failover invalidates, so each retry

@@ -6,24 +6,24 @@ variables (composition is resolved at substitution time, line 19).  The
 matrix's own Y variables serve as Y′: each is tied to its candidate's
 Tseitin output, so a model δ of E directly yields δ[X] and δ[Y′].
 
-Two execution paths share this module:
+The engine runs both checks on its oracle sessions: ``session`` is a
+long-lived :class:`~repro.core.sessions.VerifierSession` that
+re-encodes only repaired candidates, and ``matrix_session`` answers the
+extension check by assumptions against its persistent ϕ-solver.
 
-* **Incremental** (the default): ``session`` is a long-lived
-  :class:`~repro.core.sessions.VerifierSession` that re-encodes only
-  repaired candidates, and ``matrix_session`` answers the extension
-  check by assumptions against its persistent ϕ-solver.
-* **Fresh fallback** (``Manthan3Config.incremental=False``): each round
-  Tseitin-encodes the whole vector and builds throwaway solvers, as the
-  seed implementation did.  The two SAT calls get *independent* RNG
-  streams spawned from ``rng`` — sharing one stream would make the
-  extension check's randomness depend on how many branches the E-check
-  happened to take.
+Called without sessions, each round Tseitin-encodes the whole vector
+and builds two throwaway solvers.  Only the Pedant-like baseline
+(:mod:`repro.baselines.pedant_like`) verifies this way, and its
+trajectory depends on it.  The two SAT calls get *independent* RNG
+streams spawned from ``rng`` — sharing one stream would make the
+extension check's randomness depend on how many branches the E-check
+happened to take.
 """
 
 from repro.formula.cnf import CNF
 from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
 from repro.sat.solver import Solver, SAT, UNSAT
-from repro.utils.errors import ResourceBudgetExceeded
+from repro.utils.errors import ReproError, ResourceBudgetExceeded
 from repro.utils.rng import make_rng, spawn
 
 
@@ -77,13 +77,14 @@ def verify_candidates(instance, candidates, rng=None, deadline=None,
                       matrix_session=None):
     """Run the two SAT checks of the verification phase.
 
-    With ``session``/``matrix_session`` the oracles are incremental
-    queries against persistent solvers; without them fresh solvers are
-    built (the fallback path).  Raises :class:`ResourceBudgetExceeded`
-    when an oracle call exhausts its budget (the engine maps this to
-    TIMEOUT).
+    Pass both ``session`` and ``matrix_session`` (the oracles are then
+    incremental queries against persistent solvers) or neither (fresh
+    solvers per call, see the module docstring).  Raises
+    :class:`ResourceBudgetExceeded` when an oracle call exhausts its
+    budget (the engine maps this to TIMEOUT).
     """
-    ext_rng = None
+    if (session is None) != (matrix_session is None):
+        raise ReproError("verify_candidates takes both sessions or neither")
     if session is not None:
         status = session.solve(candidates, deadline=deadline,
                                conflict_budget=conflict_budget)
@@ -111,8 +112,6 @@ def verify_candidates(instance, candidates, rng=None, deadline=None,
             conflict_budget=conflict_budget)
         pi = matrix_session.model
     else:
-        if ext_rng is None:  # session E-check with fresh extension check
-            ext_rng = spawn(make_rng(rng), 2)
         ext_solver = Solver(instance.matrix, rng=ext_rng)
         ext_status = ext_solver.solve(assumptions=assumptions,
                                       deadline=deadline,

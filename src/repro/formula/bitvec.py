@@ -9,10 +9,9 @@ value.  :func:`eval_bitset` then evaluates a whole
 — one bitwise operation per DAG node — instead of one tree walk per
 assignment.
 
-The learn→repair pipeline is routed through this substrate
-(``Manthan3Config.bitparallel``): the decision-tree learner scores
-splits with popcounts over matrix columns, and repair evaluates the
-candidate vector over the batched counterexample matrix.
+The learn→repair pipeline runs on this substrate: the decision-tree
+learner scores splits with popcounts over matrix columns, and repair
+evaluates the candidate vector over the batched counterexample matrix.
 
 Memoization contract: :func:`eval_bitset` takes an optional ``memo``
 dict (id(node) → bitset) that may be shared across calls **as long as
@@ -183,8 +182,7 @@ def evaluate_vector_bits(candidates, order, matrix):
 def refresh_vector_bits(candidates, order, outputs, matrix, yk):
     """Output bitsets after only ``candidates[yk]`` changed.
 
-    Packed analogue of :func:`repro.core.repair.refresh_vector`: a
-    candidate reads only the outputs of variables *later* in ``order``,
+    A candidate reads only the outputs of variables *later* in ``order``,
     so a repair of ``yk`` can change nothing after it — re-sweeping
     ``yk`` and the positions before it (against the existing bitsets of
     the rest) reproduces :func:`evaluate_vector_bits` exactly.

@@ -4,21 +4,19 @@ Features and labels are binary (0/1).  Feature columns are identified by
 arbitrary hashable ids — the synthesis engine passes variable ids so that
 tree paths convert directly into Boolean formulas over those variables.
 
-Two training paths produce **identical** trees from identical data:
+Training is bit-parallel: features and labels are packed column
+bitsets (bit ``i`` = sample ``i``), split scoring is two popcounts per
+feature, and node partitioning is two mask ANDs.
+:meth:`DecisionTree.fit` packs row data (dicts or sequences) and grows
+the same way as :meth:`DecisionTree.fit_bitset`.
 
-* :meth:`DecisionTree.fit` — the row-oriented path (dicts/sequences, one
-  Python loop per sample per feature per node).
-* :meth:`DecisionTree.fit_bitset` — the bit-parallel path: features and
-  labels are packed column bitsets (bit ``i`` = sample ``i``), split
-  scoring is two popcounts per feature, and node partitioning is two
-  mask ANDs.
-
-Equivalence is split-for-split, guaranteed by a shared tie-break
-contract: candidate features are scanned in the caller-given ``features``
-order and a split is only adopted on a *strictly* greater impurity
-decrease, so the earliest best feature wins in both paths; both paths
-compute the weighted Gini from the same four integer counts, so the
-floating-point values compared are bit-identical.
+Split choice is deterministic: candidate features are scanned in the
+caller-given ``features`` order and a split is only adopted on a
+*strictly* greater impurity decrease, so the earliest best feature
+wins.  The weighted Gini is computed from four integer counts, so the
+result does not depend on how the counts were obtained; the row-wise
+grower in ``tests/learning/row_tree.py`` grows split-for-split the same
+trees.
 """
 
 from repro.utils.errors import ReproError
@@ -95,70 +93,32 @@ class DecisionTree:
         """Train on ``rows`` (list of dicts or sequences) and 0/1 labels.
 
         ``features`` lists the feature ids; when rows are sequences their
-        positions correspond to this list.
+        positions correspond to this list.  The rows are packed into
+        column bitsets and grown by :meth:`fit_bitset`.
         """
         if len(rows) != len(labels):
             raise ReproError("rows/labels length mismatch")
-        self.features = list(features)
-        if rows and not isinstance(rows[0], dict):
-            rows = [dict(zip(self.features, row)) for row in rows]
-        labels = [1 if l else 0 for l in labels]
-        indices = list(range(len(rows)))
-        self.root = self._grow(rows, labels, indices, self.features, 0)
-        return self
-
-    def _grow(self, rows, labels, indices, features, depth):
-        total = len(indices)
-        positives = sum(labels[i] for i in indices)
-        node_impurity = gini(positives, total)
-
-        if total == 0:
-            return Leaf(self.tie_label, 0, 0.0)
-        if positives == 0 or positives == total:
-            return Leaf(1 if positives else 0, total, 0.0)
-        if self.max_depth is not None and depth >= self.max_depth:
-            return self._majority_leaf(positives, total, node_impurity)
-        if not features:
-            return self._majority_leaf(positives, total, node_impurity)
-
-        best = None
-        for feature in features:
-            n1 = p1 = 0
-            for i in indices:
-                if rows[i][feature]:
-                    n1 += 1
-                    p1 += labels[i]
-            n0 = total - n1
-            p0 = positives - p1
-            if n0 == 0 or n1 == 0:
-                continue  # feature is constant on this node
-            weighted = (n0 * gini(p0, n0) + n1 * gini(p1, n1)) / total
-            decrease = node_impurity - weighted
-            if best is None or decrease > best[0]:
-                best = (decrease, feature)
-        if best is None or best[0] < self.min_impurity_decrease:
-            return self._majority_leaf(positives, total, node_impurity)
-
-        feature = best[1]
-        low_idx = [i for i in indices if not rows[i][feature]]
-        high_idx = [i for i in indices if rows[i][feature]]
-        remaining = [f for f in features if f != feature]
-        return Split(
-            feature,
-            self._grow(rows, labels, low_idx, remaining, depth + 1),
-            self._grow(rows, labels, high_idx, remaining, depth + 1),
-            samples=total,
-        )
+        features = list(features)
+        columns = dict.fromkeys(features, 0)
+        label_bits = 0
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                row = dict(zip(features, row))
+            for feature in features:
+                if row[feature]:
+                    columns[feature] |= 1 << i
+            if labels[i]:
+                label_bits |= 1 << i
+        return self.fit_bitset(columns, label_bits, features, len(rows))
 
     def fit_bitset(self, columns, labels, features, num_rows):
         """Train from packed column bitsets (bit ``i`` = sample ``i``).
 
         ``columns`` maps feature id → bitset (only the ids in
         ``features`` are read), ``labels`` is the label bitset and
-        ``num_rows`` the sample count.  Produces the exact tree
-        :meth:`fit` grows from the row expansion of the same data (see
-        the module docstring for the tie-break contract).  ``bitops``
-        counts the popcount/AND operations spent.
+        ``num_rows`` the sample count (see the module docstring for the
+        tie-break contract).  ``bitops`` counts the popcount/AND
+        operations spent.
         """
         self.features = list(features)
         mask = (1 << num_rows) - 1

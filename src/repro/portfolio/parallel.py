@@ -60,8 +60,8 @@ _DEATH_GRACE = 1.0
 class PipelineEngineSpec:
     """A Manthan3 variant as *data*: a phase list plus config overrides.
 
-    Every Manthan3 portfolio engine — the default, the A/B substrate
-    baselines, and the ablations — differs only in which pipeline
+    Every Manthan3 portfolio engine — the default, the backend
+    variants, and the ablations — differs only in which pipeline
     phases run and which ``Manthan3Config`` fields deviate from the
     defaults.  The registry therefore stores exactly that, instead of a
     bespoke builder closure per engine: adding an ablation engine is
@@ -187,13 +187,8 @@ def resolve_engine_spec(name):
 ENGINE_SPECS = {spec.name: spec for spec in (
     PipelineEngineSpec(
         "manthan3",
-        description="full pipeline: incremental sessions + bit-parallel"),
-    PipelineEngineSpec(
-        "manthan3-fresh", overrides={"incremental": False},
-        description="fresh-solver fallback (oracle-session A/B baseline)"),
-    PipelineEngineSpec(
-        "manthan3-rowwise", overrides={"bitparallel": False},
-        description="dict-row learning (bit-parallel A/B baseline)"),
+        description="full pipeline (Algorithm 1: sample, preprocess, "
+                    "learn, order, verify/repair)"),
     PipelineEngineSpec(
         "manthan3-emulated",
         overrides={"sat_backend": "python-emulated"},

@@ -1,5 +1,7 @@
 """The typed event stream: ordering, content, isolation, IPC relay."""
 
+import pytest
+
 from repro.api import (
     CounterexampleFound,
     PartialAvailable,
@@ -115,6 +117,30 @@ class TestObservationIsNeutral:
         solution = solver.solve(inst, timeout=60)
         assert solution.synthesized
         assert solution.stats["listener_errors"] == len(seen)
+
+    def test_no_listener_constructs_no_event(self, monkeypatch):
+        """With nobody listening, a solve builds not a single event
+        object: every event class is patched to raise on construction,
+        and the solve still ends SYNTHESIZED.  The same solve with a
+        listener must hit the patch, which proves it is live."""
+        from repro.core import events
+
+        class Constructed(Exception):
+            pass
+
+        def refuse(self, *args, **kwargs):
+            raise Constructed(type(self).__name__)
+
+        classes = [cls for cls in vars(events).values()
+                   if isinstance(cls, type) and issubclass(cls, events.Event)]
+        assert len(classes) == 7
+        for cls in classes:
+            monkeypatch.setattr(cls, "__init__", refuse)
+        inst = _repairing_instance()
+        assert Solver("manthan3", seed=9).solve(inst,
+                                                timeout=60).synthesized
+        with pytest.raises(Constructed):
+            _solve_with_events(inst, seed=9)
 
     def test_unsubscribe(self):
         solver = Solver("manthan3", seed=9)

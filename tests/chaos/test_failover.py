@@ -40,11 +40,13 @@ class TestVerifierSessionFailover:
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
         session = VerifierSession(inst, rng=1, backend="faulty:python",
                                   fallbacks=["python"])
+        matrix = MatrixSession(inst.matrix)
         for candidate, verdict in ((bf.var(1), "VALID"),
                                    (bf.not_(bf.var(1)), "COUNTEREXAMPLE"),
                                    (bf.var(1), "VALID")):
             fresh = verify_candidates(inst, {2: candidate})
-            live = verify_candidates(inst, {2: candidate}, session=session)
+            live = verify_candidates(inst, {2: candidate}, session=session,
+                                     matrix_session=matrix)
             assert live.verdict == fresh.verdict == verdict
         assert session.failovers == 1
         assert session.stats()["failovers"] == 1
@@ -54,7 +56,8 @@ class TestVerifierSessionFailover:
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
         session = VerifierSession(inst, rng=1, backend="faulty:python",
                                   fallbacks=["python"])
-        outcome = verify_candidates(inst, {2: bf.var(1)}, session=session)
+        outcome = verify_candidates(inst, {2: bf.var(1)}, session=session,
+                                    matrix_session=MatrixSession(inst.matrix))
         assert outcome.verdict == "VALID"
         assert session.failovers == 1
 
@@ -80,8 +83,8 @@ class TestMatrixSessionFailover:
         monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")
         session = MatrixSession(inst.matrix, backend="faulty:python",
                                 fallbacks=["python"])
-        assert detect_unates(inst, matrix_session=session) \
-            == detect_unates(inst)
+        assert detect_unates(inst, session) \
+            == detect_unates(inst, MatrixSession(inst.matrix))
         assert session.failovers >= 1
         assert session.stats()["failovers"] == session.failovers
 
@@ -111,9 +114,9 @@ class TestMatrixSessionFailover:
 class TestSamplerFailover:
     CNF_2SAT = [[1, 2], [-1, 2]]          # forces var 2 True
 
-    def _sampler(self, backend, fallbacks=(), **kwargs):
+    def _sampler(self, backend, fallbacks=()):
         return Sampler(CNF(self.CNF_2SAT), rng=3, weighted_vars=[1, 2],
-                       backend=backend, fallbacks=fallbacks, **kwargs)
+                       backend=backend, fallbacks=fallbacks)
 
     def test_incremental_failover_replays_fault_free_stream(
             self, monkeypatch):
@@ -128,15 +131,28 @@ class TestSamplerFailover:
         assert stats["backend"] == "python"
         assert stats["failovers"] == 1
 
-    def test_fresh_mode_failover_replays_fault_free_stream(
-            self, monkeypatch):
+    def test_memory_fault_replays_fault_free_stream(self, monkeypatch):
         monkeypatch.delenv(PLAN_ENV, raising=False)
-        reference = self._sampler("python", incremental=False).draw(6)
+        reference = self._sampler("python").draw(6)
         monkeypatch.setenv(PLAN_ENV, "solve@1=memory")
-        sampler = self._sampler("faulty:python", fallbacks=["python"],
-                                incremental=False)
+        sampler = self._sampler("faulty:python", fallbacks=["python"])
         assert sampler.draw(6) == reference
         assert sampler.failovers == 1
+
+    def test_failover_banks_retired_conflicts(self, monkeypatch):
+        # PHP(3,2) is UNSAT, so every draw must conflict.
+        php = [[1, 2], [3, 4], [5, 6], [-1, -3], [-1, -5], [-3, -5],
+               [-2, -4], [-2, -6], [-4, -6]]
+        monkeypatch.setenv(PLAN_ENV, "solve@2=unavailable")
+        sampler = Sampler(CNF(php), rng=9, backend="faulty:python",
+                          fallbacks=["python"])
+        assert sampler.draw(1) == []
+        first = sampler.stats()["conflicts"]
+        assert first > 0
+        assert sampler.draw(1) == []
+        assert sampler.failovers == 1
+        # the dead solver's conflicts stay counted under the new one's
+        assert sampler.stats()["conflicts"] > first
 
     def test_non_capable_chain_entries_are_skipped(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")

@@ -7,8 +7,7 @@ selector-emulation layer every native backend reuses for clause
 groups) the guarantee is total: the inner solver consumes the same RNG
 stream, sees the same clauses and assumptions in the same order, and
 returns the same models and cores, so full runs must agree not just on
-verdicts but on the exact functions synthesized — the same tier of
-equivalence ``manthan3-rowwise`` pins for the learning substrate.
+verdicts but on the exact functions synthesized.
 
 A genuinely foreign backend (``pysat``) keeps verdict-level agreement
 with every claim certified, but may pick different models, so the
@@ -98,10 +97,9 @@ class TestCampaignEquivalence:
         the default engine's statuses with every claim certified.
 
         Campaign jobs are seeded per (engine, instance) *name*, so the
-        two engines run different seeds here — like the
-        `manthan3-rowwise` campaign test, this uses seed-robust planted
-        instances; same-seed bit-identity is pinned by the engine-level
-        tests above."""
+        two engines run different seeds here, so this uses seed-robust
+        planted instances; same-seed bit-identity is pinned by the
+        engine-level tests above."""
         from repro.portfolio import run_campaign
 
         suite = [planted(30 + i, num_universals=14 + 2 * i)

@@ -8,6 +8,7 @@ from repro.core.candidates import (
 )
 from repro.core.config import Manthan3Config
 from repro.dqbf.instance import DQBFInstance
+from repro.formula.bitvec import SampleMatrix
 from repro.formula.cnf import CNF
 
 
@@ -134,7 +135,8 @@ class TestFeatureSets:
 class TestLearning:
     def test_learns_from_deterministic_samples(self):
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        samples = [{1: False, 2: False}, {1: True, 2: True}]
+        samples = SampleMatrix.from_models([{1: False, 2: False},
+                                            {1: True, 2: True}])
         tracker = DependencyTracker(inst.existentials)
         expr, used = learn_candidate(inst, 2, samples, tracker,
                                      Manthan3Config())
@@ -144,10 +146,11 @@ class TestLearning:
 
     def test_y_feature_use_recorded(self):
         inst = make([1, 2], {3: [1], 4: [1, 2]}, [[3, 4]])
-        samples = [{1: False, 2: False, 3: True, 4: True},
-                   {1: True, 2: False, 3: False, 4: False},
-                   {1: False, 2: True, 3: True, 4: True},
-                   {1: True, 2: True, 3: False, 4: False}]
+        samples = SampleMatrix.from_models(
+            [{1: False, 2: False, 3: True, 4: True},
+             {1: True, 2: False, 3: False, 4: False},
+             {1: False, 2: True, 3: True, 4: True},
+             {1: True, 2: True, 3: False, 4: False}])
         tracker = DependencyTracker(inst.existentials)
         tracker.seed_subset_pairs(inst)
         expr, used = learn_candidate(inst, 4, samples, tracker,
@@ -190,39 +193,24 @@ class TestBitparallelLearning:
         ]
         return inst, samples
 
-    def test_packed_and_dict_learn_identical_candidates(self):
+    def test_accepts_prepacked_matrix(self):
+        """Assignment dicts are packed up front; a prepacked matrix of
+        the same samples learns the same candidates."""
         for seed in range(10):
             inst, samples = self._random_setup(seed)
-            packed, _ = learn_all_candidates(
-                inst, samples, Manthan3Config(bitparallel=True))
-            plain, _ = learn_all_candidates(
-                inst, samples, Manthan3Config(bitparallel=False))
+            matrix = SampleMatrix.from_models(samples)
+            packed, _ = learn_all_candidates(inst, matrix, Manthan3Config())
+            plain, _ = learn_all_candidates(inst, samples,
+                                            Manthan3Config())
             # BoolExprs are interned: identical functions are identical
             # objects.
             assert packed == plain, seed
-
-    def test_accepts_prepacked_matrix(self):
-        from repro.formula.bitvec import SampleMatrix
-
-        inst, samples = self._random_setup(0)
-        matrix = SampleMatrix.from_models(samples)
-        packed, _ = learn_all_candidates(inst, matrix,
-                                         Manthan3Config(bitparallel=True))
-        plain, _ = learn_all_candidates(inst, samples,
-                                        Manthan3Config(bitparallel=False))
-        assert packed == plain
 
     def test_learning_stats_recorded(self):
         inst, samples = self._random_setup(1)
         stats = {}
         learn_all_candidates(inst, samples, Manthan3Config(), stats=stats)
-        assert stats["mode"] == "bitparallel"
+        assert set(stats) == {"fit_s", "trees", "bitops"}
         assert stats["trees"] == 2
         assert stats["bitops"] > 0
         assert stats["fit_s"] >= 0.0
-        dict_stats = {}
-        learn_all_candidates(inst, samples,
-                             Manthan3Config(bitparallel=False),
-                             stats=dict_stats)
-        assert dict_stats["mode"] == "dict"
-        assert dict_stats["bitops"] == 0

@@ -1,22 +1,13 @@
-"""Tests for the staged pipeline: trajectory equivalence against the
-frozen pre-pipeline monolith, per-phase budgets, anytime partial
-results, and the declarative engine specs.
+"""Tests for the staged pipeline: per-phase budgets, anytime partial
+results, session building, and the declarative engine specs.
 
-Trajectory equivalence is the refactor's acceptance contract: the
-staged pipeline must reproduce the PR 3 monolith's statuses AND
-functions exactly (same RNG spawn sequence, same oracle calls), across
-the planted/controller/pec families, on both the incremental and fresh
-paths, at engine and campaign level.
+The pipeline's trajectories (statuses AND functions) are pinned by the
+golden engine trajectories of ``test_engine_golden.py``.
 """
 
 import pytest
 
-from benchmarks.monolith_baseline import MonolithManthan3
-from repro.benchgen import (
-    generate_controller_instance,
-    generate_pec_instance,
-    generate_planted_instance,
-)
+from repro.benchgen import generate_planted_instance
 from repro.core import (
     DEFAULT_PHASE_NAMES,
     Manthan3,
@@ -32,7 +23,6 @@ from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
 from repro.portfolio import make_engine, run_campaign
-from repro.portfolio.parallel import derive_job_seed
 from repro.utils.errors import ReproError
 from repro.utils.timer import Deadline
 
@@ -41,76 +31,43 @@ def make(universals, deps, clauses):
     return DQBFInstance(universals, deps, CNF(clauses))
 
 
-def _suite():
-    """Small instances spanning the planted/controller/pec families."""
-    instances = [
-        generate_planted_instance(
-            num_universals=14 + 2 * i, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=40 + i)
-        for i in range(3)
-    ]
-    instances.append(generate_controller_instance(
-        num_state=3, num_disturbance=2, num_controls=2, observable=True,
-        seed=44))
-    instances.append(generate_pec_instance(
-        num_inputs=5, num_outputs=2, num_boxes=1, depth=2,
-        realizable=True, seed=45))
-    return instances
+class TestSessionBuilding:
+    """Every phase that queries an oracle session builds the sessions
+    first, once; a run that ends in the unit fast path builds none."""
 
+    def test_hand_built_context_gets_sessions(self):
+        from repro.core.candidates import DependencyTracker
 
-class TestTrajectoryEquivalence:
-    """Staged pipeline ≡ PR 3 monolith: statuses AND functions."""
+        inst = make([1, 2], {3: [1, 2]},
+                    [[-3, 1, 2], [3, -1], [3, -2]])        # y ↔ (x1 ∨ x2)
+        ctx = SynthesisContext(inst, Manthan3Config(seed=1))
+        ctx.candidates = {3: bf.FALSE}
+        ctx.tracker = DependencyTracker(inst.existentials)
+        ctx.order = [3]
+        result = Pipeline(("verify_repair",)).execute(ctx)
+        assert result.status == Status.SYNTHESIZED
+        oracle = result.stats["oracle"]
+        assert oracle["verifier"]["calls"] >= 2
+        assert oracle["matrix"]["calls_repair"] >= 1
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_engine_level(self, incremental):
-        for inst in _suite():
-            config = Manthan3Config(seed=9, incremental=incremental)
-            staged = Manthan3(config).run(inst, timeout=60)
-            mono = MonolithManthan3(
-                Manthan3Config(seed=9,
-                               incremental=incremental)).run(inst,
-                                                             timeout=60)
-            assert staged.status == mono.status, inst.name
-            assert staged.functions == mono.functions, inst.name
+    def test_build_sessions_is_idempotent(self):
+        from repro.core.sessions import build_sessions
 
-    def test_rowwise_path(self):
-        inst = generate_planted_instance(
-            num_universals=14, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=47)
-        config = Manthan3Config(seed=9, bitparallel=False)
-        staged = Manthan3(config).run(inst, timeout=60)
-        mono = MonolithManthan3(
-            Manthan3Config(seed=9, bitparallel=False)).run(inst,
-                                                           timeout=60)
-        assert staged.status == mono.status
-        assert staged.functions == mono.functions
+        inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
+        ctx = SynthesisContext(inst, Manthan3Config(seed=1))
+        build_sessions(ctx)
+        built = (ctx.matrix_session, ctx.verifier_session)
+        state = ctx.oracle_rng.getstate()
+        build_sessions(ctx)
+        assert (ctx.matrix_session, ctx.verifier_session) == built
+        assert [name for name, _ in ctx.sessions] == ["matrix", "verifier"]
+        assert ctx.oracle_rng.getstate() == state
 
-    def test_campaign_level(self):
-        """Campaign over the suite matches per-job-seeded monolith runs
-        record for record."""
-        suite = _suite()
-        table = run_campaign(suite, ["manthan3", "manthan3-fresh"],
-                             timeout=60, seed=3)
-        for record in table.records:
-            incremental = record.engine == "manthan3"
-            config = Manthan3Config(
-                seed=derive_job_seed(3, record.engine, record.instance),
-                incremental=incremental)
-            inst = next(i for i in suite if i.name == record.instance)
-            mono = MonolithManthan3(config).run(inst, timeout=60)
-            assert record.status == mono.status, \
-                (record.engine, record.instance)
-            assert record.certified is not False, record.instance
-
-    def test_false_verdicts_match(self):
-        for inst in (make([1], {2: [1]}, [[1]]),            # extension
-                     make([1], {2: [1]}, [[2], [-2]]),      # UNSAT matrix
-                     make([1], {2: [1]}, [[1], [1, 2]])):   # unit fastpath
-            staged = Manthan3(Manthan3Config(seed=2)).run(inst, timeout=30)
-            mono = MonolithManthan3(Manthan3Config(seed=2)).run(inst,
-                                                                timeout=30)
-            assert staged.status == mono.status == Status.FALSE
-            assert staged.witness == mono.witness
+    def test_unit_fastpath_builds_no_sessions(self):
+        inst = make([1], {2: [1]}, [[1], [1, 2]])
+        result = Manthan3(Manthan3Config(seed=2)).run(inst, timeout=30)
+        assert result.status == Status.FALSE
+        assert "oracle" not in result.stats
 
 
 class TestAnytimePartials:
@@ -252,8 +209,7 @@ class TestPhaseBudgets:
 
         inst = make([1, 2], {3: [1, 2]},
                     [[-3, 1, 2], [3, -1], [3, -2]])        # y ↔ (x1 ∨ x2)
-        config = Manthan3Config(seed=3, incremental=False,
-                                use_self_substitution=False)
+        config = Manthan3Config(seed=3, use_self_substitution=False)
         deadline = FlipDeadline()
         ctx = SynthesisContext(inst, config, deadline=deadline)
         ctx.candidates = {3: bf.FALSE}

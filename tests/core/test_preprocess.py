@@ -3,6 +3,7 @@
 from repro.core.config import Manthan3Config
 from repro.core.preprocess import detect_unates, extract_unique_functions, \
     preprocess
+from repro.core.sessions import MatrixSession
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
@@ -16,25 +17,25 @@ class TestUnates:
     def test_positive_unate(self):
         # ϕ = (x ∨ y): y appears only positively ⇒ f_y = 1 works.
         inst = make([1], {2: [1]}, [[1, 2]])
-        unates = detect_unates(inst)
+        unates = detect_unates(inst, MatrixSession(inst.matrix))
         assert unates == {2: bf.TRUE}
 
     def test_negative_unate(self):
         inst = make([1], {2: [1]}, [[1, -2]])
-        unates = detect_unates(inst)
+        unates = detect_unates(inst, MatrixSession(inst.matrix))
         assert unates == {2: bf.FALSE}
 
     def test_non_unate(self):
         # y ↔ x is neither positive nor negative unate.
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        assert detect_unates(inst) == {}
+        assert detect_unates(inst, MatrixSession(inst.matrix)) == {}
 
     def test_sequential_propagation(self):
         """y2 is positive unate outright; y3 only becomes unate once the
-        unit for y2 is committed to the working matrix."""
+        unit for y2 is committed to the matrix session."""
         inst = make([1], {2: [1], 3: [1]},
                     [[1, 2], [2, -3], [3, 1]])
-        unates = detect_unates(inst)
+        unates = detect_unates(inst, MatrixSession(inst.matrix))
         assert unates.get(2) is bf.TRUE
         assert unates.get(3) is bf.TRUE
 
@@ -86,10 +87,11 @@ class TestPreprocessFacade:
         inst = make([1], {2: [1]}, [[1, 2]])
         config = Manthan3Config(use_unate_detection=False,
                                 use_unique_extraction=False)
-        outcome = preprocess(inst, config)
+        outcome = preprocess(inst, config, MatrixSession(inst.matrix))
         assert outcome.fixed == {}
 
     def test_stats_reported(self):
         inst = make([1], {2: [1]}, [[1, 2]])
-        outcome = preprocess(inst, Manthan3Config())
+        outcome = preprocess(inst, Manthan3Config(),
+                             MatrixSession(inst.matrix))
         assert outcome.stats["unates"] == 1

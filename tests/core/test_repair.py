@@ -7,14 +7,26 @@ from repro.core.repair import (
     find_repair_candidates,
     repair_iteration,
 )
+from repro.core.sessions import MatrixSession
 from repro.core.verifier import verify_candidates
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
+from repro.formula.bitvec import (
+    SampleMatrix,
+    evaluate_vector_bits,
+    refresh_vector_bits,
+)
 from repro.formula.cnf import CNF
 
 
 def make(universals, deps, clauses):
     return DQBFInstance(universals, deps, CNF(clauses))
+
+
+def oracles(inst):
+    """The engine-owned state repair runs on: the matrix session and
+    the counterexample matrix."""
+    return MatrixSession(inst.matrix), SampleMatrix(inst.universals)
 
 
 class TestEvaluateVector:
@@ -61,7 +73,8 @@ class TestRepairIteration:
         candidates = {2: bf.FALSE}
         tracker = DependencyTracker(inst.existentials)
         modified = repair_iteration(inst, candidates, tracker, [2],
-                                    {1: True}, Manthan3Config())
+                                    {1: True}, Manthan3Config(),
+                                    *oracles(inst))
         assert modified == 1
         assert candidates[2].evaluate({1: True})
 
@@ -72,12 +85,13 @@ class TestRepairIteration:
         candidates = {3: bf.FALSE}
         tracker = DependencyTracker(inst.existentials)
         config = Manthan3Config()
+        matrix, cex_matrix = oracles(inst)
         for _ in range(10):
             outcome = verify_candidates(inst, candidates)
             if outcome.verdict == "VALID":
                 break
             repair_iteration(inst, candidates, tracker, [3],
-                             outcome.sigma_x, config)
+                             outcome.sigma_x, config, matrix, cex_matrix)
         assert verify_candidates(inst, candidates).verdict == "VALID"
 
     def test_fixed_candidates_never_touched(self):
@@ -87,7 +101,7 @@ class TestRepairIteration:
         tracker = DependencyTracker(inst.existentials)
         before = candidates[3]
         repair_iteration(inst, candidates, tracker, [2, 3], {1: True},
-                         Manthan3Config(), fixed={3})
+                         Manthan3Config(), *oracles(inst), fixed={3})
         assert candidates[3] is before
 
     def test_stagnation_on_limitation_example(
@@ -99,7 +113,8 @@ class TestRepairIteration:
         outcome = verify_candidates(inst, candidates)
         assert outcome.verdict == "COUNTEREXAMPLE"
         modified = repair_iteration(inst, candidates, tracker, [4, 5],
-                                    outcome.sigma_x, Manthan3Config())
+                                    outcome.sigma_x, Manthan3Config(),
+                                    *oracles(inst))
         assert modified == 0  # the paper's incompleteness case
 
     def test_yhat_constraint_enables_repair(self):
@@ -112,18 +127,20 @@ class TestRepairIteration:
         candidates = {2: bf.FALSE, 3: bf.FALSE}
         tracker = DependencyTracker(inst.existentials)
         config = Manthan3Config()
+        matrix, cex_matrix = oracles(inst)
         for _ in range(8):
             outcome = verify_candidates(inst, candidates)
             if outcome.verdict == "VALID":
                 break
             repair_iteration(inst, candidates, tracker, [2, 3],
-                             outcome.sigma_x, config)
+                             outcome.sigma_x, config, matrix, cex_matrix)
         assert verify_candidates(inst, candidates).verdict == "VALID"
 
 
 class TestRefreshVector:
-    """Partial re-evaluation after a single repair must agree with the
-    full composition-order re-evaluation it replaces."""
+    """Partial bit-parallel re-evaluation after a single repair must
+    agree with the full per-row composition-order re-evaluation it
+    replaces."""
 
     def test_matches_full_reevaluation(self):
         import random
@@ -140,28 +157,33 @@ class TestRefreshVector:
                 expr = bf.and_(*[bf.lit(v if rng.random() < 0.5 else -v)
                                  for v in picks])
                 candidates[y] = expr if rng.random() < 0.7 else bf.not_(expr)
-            sigma_x = {v: rng.random() < 0.5 for v in x_vars}
-            outputs = evaluate_vector(candidates, order, sigma_x)
+            matrix = SampleMatrix.from_models(
+                [{v: rng.random() < 0.5 for v in x_vars}
+                 for _ in range(3)], variables=x_vars)
+            outputs = evaluate_vector_bits(candidates, order, matrix)
             # Repair an arbitrary candidate, then refresh partially.
             yk = rng.choice(order)
             beta = bf.lit(rng.choice(x_vars))
             candidates[yk] = bf.and_(candidates[yk], bf.not_(beta)) \
                 if rng.random() < 0.5 else bf.or_(candidates[yk], beta)
-            from repro.core.repair import refresh_vector
-            assert refresh_vector(candidates, order, outputs, sigma_x,
-                                  yk) == \
-                evaluate_vector(candidates, order, sigma_x), trial
+            refreshed = refresh_vector_bits(candidates, order, outputs,
+                                            matrix, yk)
+            for row in range(matrix.num_rows):
+                expected = evaluate_vector(candidates, order,
+                                           matrix.row(row))
+                assert {y: bool((refreshed[y] >> row) & 1)
+                        for y in order} == expected, trial
 
     def test_only_prefix_reevaluated(self):
-        """Positions after yk keep their dict values untouched."""
-        from repro.core.repair import refresh_vector
-
+        """Positions after yk keep their bitsets untouched."""
         candidates = {5: bf.var(6), 6: bf.var(1), 7: bf.not_(bf.var(1))}
         order = [5, 6, 7]
-        sigma_x = {1: True}
-        outputs = evaluate_vector(candidates, order, sigma_x)
+        matrix = SampleMatrix.from_models([{1: True}])
+        outputs = evaluate_vector_bits(candidates, order, matrix)
+        outputs[7] = 1                             # stale on purpose
         candidates[6] = bf.not_(bf.var(1))
-        refreshed = refresh_vector(candidates, order, outputs, sigma_x, 6)
-        assert refreshed[7] == outputs[7]          # after yk: untouched
-        assert refreshed[6] is False               # yk recomputed
-        assert refreshed[5] is False               # before yk: recomputed
+        refreshed = refresh_vector_bits(candidates, order, outputs,
+                                        matrix, 6)
+        assert refreshed[7] == 1                   # after yk: untouched
+        assert refreshed[6] == 0                   # yk recomputed
+        assert refreshed[5] == 0                   # before yk: recomputed

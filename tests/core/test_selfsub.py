@@ -92,8 +92,7 @@ class TestFallbackEndToEnd:
     into the non-repairable set, and the order is recomputed."""
 
     def _context(self, inst, candidates, **config_kwargs):
-        config = Manthan3Config(seed=3, incremental=False,
-                                **config_kwargs)
+        config = Manthan3Config(seed=3, **config_kwargs)
         ctx = SynthesisContext(inst, config)
         ctx.candidates = dict(candidates)
         ctx.tracker = DependencyTracker(inst.existentials)

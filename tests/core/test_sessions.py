@@ -1,30 +1,22 @@
-"""Tests for the incremental oracle sessions and, crucially, the
-incremental-vs-fresh **equivalence suite**: the two paths must reach the
-same verdict on every instance, and any synthesized vector must certify.
+"""Tests for the incremental oracle sessions.
 
-Exact trajectories are *not* required to match — a persistent solver
-returns different (equally valid) counterexample models than a fresh
-one — so equivalence is stated at the level the acceptance contract
-cares about: final ``Status``, certified functions, and campaign solved
-counts.
+The engine's trajectories on the sessions are pinned by the golden
+engine trajectories (``test_engine_golden.py``); these tests check the
+sessions' own contracts: verdicts, selective re-encoding, unate checks
+and the dual rail's retirement.
 """
 
 import pytest
 
-from repro.benchgen import (
-    build_suite,
-    generate_planted_instance,
-    generate_xor_chain_instance,
-)
-from repro.core import Manthan3, Manthan3Config, Status
+from repro.core import Manthan3Config
 from repro.core.preprocess import detect_unates
 from repro.core.repair import repair_iteration
 from repro.core.sessions import MatrixSession, VerifierSession
 from repro.core.verifier import verify_candidates
 from repro.core.candidates import DependencyTracker
-from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
+from repro.formula.bitvec import SampleMatrix
 from repro.formula.cnf import CNF
 from repro.sat.solver import SAT, UNSAT
 
@@ -68,8 +60,17 @@ class TestVerifierSession:
     def test_empty_existentials(self):
         inst = DQBFInstance([1], {}, CNF([[1, -1]]))
         session = VerifierSession(inst)
-        assert verify_candidates(inst, {}, session=session).verdict == \
-            "VALID"
+        matrix = MatrixSession(inst.matrix)
+        assert verify_candidates(inst, {}, session=session,
+                                 matrix_session=matrix).verdict == "VALID"
+
+    def test_one_session_alone_is_rejected(self):
+        from repro.utils.errors import ReproError
+
+        inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
+        with pytest.raises(ReproError, match="both sessions or neither"):
+            verify_candidates(inst, {2: bf.var(1)},
+                              session=VerifierSession(inst))
 
 
 class TestMatrixSessionUnates:
@@ -83,16 +84,23 @@ class TestMatrixSessionUnates:
              [[1, 2, 3], [-3, -4], [4, 1]]),
     ]
 
-    @pytest.mark.parametrize("inst", CASES)
-    def test_matches_fresh_cofactor_path(self, inst):
+    #: Unates of CASES by the definition — ``ϕ|_{y=¬v} ∧ ¬ϕ|_{y=v}``
+    #: UNSAT, with each constant fixed before the next check — as a
+    #: fresh solver per cofactor formula computes them.
+    COFACTOR_UNATES = [{2: bf.TRUE}, {2: bf.FALSE}, {},
+                       {2: bf.TRUE, 3: bf.TRUE}, {3: bf.FALSE, 4: bf.TRUE}]
+
+    @pytest.mark.parametrize("inst, expected",
+                             zip(CASES, COFACTOR_UNATES),
+                             ids=["inst%d" % i for i in range(len(CASES))])
+    def test_matches_fresh_cofactor_path(self, inst, expected):
         session = MatrixSession(inst.matrix)
-        assert detect_unates(inst, matrix_session=session) == \
-            detect_unates(inst)
+        assert detect_unates(inst, session) == expected
 
     def test_dual_rail_retires(self):
         inst = self.CASES[0]
         session = MatrixSession(inst.matrix)
-        detect_unates(inst, matrix_session=session)
+        detect_unates(inst, session)
         live = session.solver.clause_counts()["live_clauses"]
         session.retire_dual()
         # Dual clauses are dead (unhooked; compaction may be deferred).
@@ -105,7 +113,7 @@ class TestMatrixSessionUnates:
         session = MatrixSession(inst.matrix)
         assert session.solve([-1], purpose="extension") == SAT
         assert session.model[2] is True
-        detect_unates(inst, matrix_session=session)  # builds + uses dual
+        detect_unates(inst, session)  # builds + uses dual
         assert session.solve([-1], purpose="extension") == SAT
         assert session.model[2] is True
 
@@ -119,100 +127,13 @@ class TestRepairWithSession:
         config = Manthan3Config()
         session = VerifierSession(inst)
         matrix = MatrixSession(inst.matrix)
+        cex_matrix = SampleMatrix(inst.universals)
         for _ in range(10):
             outcome = verify_candidates(inst, candidates, session=session,
                                         matrix_session=matrix)
             if outcome.verdict == "VALID":
                 break
             repair_iteration(inst, candidates, tracker, [3],
-                             outcome.sigma_x, config, matrix_session=matrix)
-        assert verify_candidates(inst, candidates,
-                                 session=session).verdict == "VALID"
-
-
-def _run_both(inst, timeout=60, **config_kwargs):
-    results = {}
-    for incremental in (True, False):
-        config = Manthan3Config(seed=9, incremental=incremental,
-                                **config_kwargs)
-        results[incremental] = Manthan3(config).run(inst, timeout=timeout)
-    return results[True], results[False]
-
-
-class TestEngineEquivalence:
-    """Same final Status on both paths; synthesized vectors certify."""
-
-    def test_planted_family(self):
-        for seed in (11, 12, 13):
-            inst = generate_planted_instance(
-                num_universals=16, num_existentials=3, dep_width=14,
-                region_width=3, rules_per_y=5, seed=seed)
-            live, fresh = _run_both(inst)
-            assert live.status == fresh.status, seed
-            for result in (live, fresh):
-                if result.synthesized:
-                    cert = check_henkin_vector(inst, result.functions)
-                    assert cert.valid, (seed, cert.reason)
-
-    def test_false_instances(self):
-        inst = make([1], {2: [1]}, [[1]])
-        live, fresh = _run_both(inst)
-        assert live.status == fresh.status == Status.FALSE
-        inst2 = make([1], {2: [1]}, [[2], [-2]])
-        live2, fresh2 = _run_both(inst2)
-        assert live2.status == fresh2.status == Status.FALSE
-
-    def test_xor_chain_family_stays_sound(self):
-        """§5-incompleteness-prone family: whether repair converges is
-        trajectory luck, and the two paths draw different (equally
-        valid) counterexamples — so only soundness is pinned here, not
-        which of SYNTHESIZED/UNKNOWN each path lands on."""
-        inst = generate_xor_chain_instance(chain_length=3, window=2, seed=4)
-        live, fresh = _run_both(inst)
-        for result in (live, fresh):
-            assert result.status in (Status.SYNTHESIZED, Status.UNKNOWN)
-            if result.synthesized:
-                assert check_henkin_vector(inst, result.functions).valid
-
-    def test_stats_shape_matches_modulo_oracle_counters(self):
-        inst = generate_planted_instance(
-            num_universals=14, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=21)
-        live, fresh = _run_both(inst)
-        assert live.status == fresh.status
-        live_keys = set(live.stats) - {"oracle"}
-        assert live_keys == set(fresh.stats)
-        assert "oracle" in live.stats and "oracle" not in fresh.stats
-        oracle = live.stats["oracle"]
-        assert oracle["verifier"]["calls"] >= 1
-        assert oracle["verifier"]["encode_misses"] >= 1
-        assert oracle["sampler"]["calls"] >= 1
-
-    def test_campaign_solved_counts_match_on_planted_suite(self):
-        """Campaign over the planted suite on the two paths: identical
-        solved sets, every claim certified."""
-        from repro.portfolio import run_campaign
-
-        suite = [generate_planted_instance(
-                     num_universals=14 + 2 * i, num_existentials=3,
-                     dep_width=12, region_width=3, rules_per_y=4,
-                     seed=30 + i)
-                 for i in range(3)]
-        table = run_campaign(suite, ["manthan3", "manthan3-fresh"],
-                             timeout=60, seed=3)
-        live = table.solved_instances("manthan3")
-        fresh = table.solved_instances("manthan3-fresh")
-        assert live == fresh == {inst.name for inst in suite}
-        for record in table.records:
-            assert record.certified is True, record.instance
-
-    def test_smoke_campaign_never_unsound_on_either_path(self):
-        """Mixed smoke suite: the two paths may disagree on the
-        luck-dependent §5 families, but neither may certify wrong."""
-        from repro.portfolio import run_campaign
-
-        suite = build_suite("smoke", seed=1)[:4]
-        table = run_campaign(suite, ["manthan3", "manthan3-fresh"],
-                             timeout=60, seed=3)
-        for record in table.records:
-            assert record.certified is not False, record.instance
+                             outcome.sigma_x, config, matrix, cex_matrix)
+        assert verify_candidates(inst, candidates, session=session,
+                                 matrix_session=matrix).verdict == "VALID"

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.learning.decision_tree import DecisionTree, gini
 from repro.utils.errors import ReproError
 
+from tests.learning.row_tree import RowDecisionTree
+
 
 def _train_on_function(func, features, samples=None):
     """Train on the full truth table (or a sample list) of ``func``."""
@@ -125,12 +127,12 @@ def same_tree(a, b):
 
 
 class TestBitsetEquivalence:
-    """``fit_bitset`` must grow the *same* tree as the dict-row ``fit``
-    (split-for-split, under the shared first-best tie-break)."""
+    """``fit_bitset`` must grow the *same* tree as the row-wise reference
+    grower (split-for-split, under the shared first-best tie-break)."""
 
     @staticmethod
     def _fit_both(rows, labels, features, **kwargs):
-        dict_tree = DecisionTree(**kwargs).fit(
+        dict_tree = RowDecisionTree(**kwargs).fit(
             [dict(r) for r in rows], list(labels), features)
         columns = {f: 0 for f in features}
         label_bits = 0
@@ -164,6 +166,10 @@ class TestBitsetEquivalence:
         assert dict_tree.leaf_count() == bit_tree.leaf_count()
         if rows:
             assert dict_tree.predict(rows) == bit_tree.predict(rows)
+        # fit() packs the rows and must grow the same tree again
+        packed = DecisionTree(max_depth=max_depth).fit(rows, labels,
+                                                       features)
+        assert same_tree(packed.root, bit_tree.root)
 
     def test_xor_learned_identically(self):
         features = [1, 2]

@@ -88,8 +88,7 @@ class TestRegistry:
     def test_registry_covers_cli_choices(self):
         from repro.sat.backend import backend_available
 
-        expected = {"manthan3", "manthan3-fresh", "manthan3-rowwise",
-                    "manthan3-nopre", "manthan3-noselfsub",
+        expected = {"manthan3", "manthan3-nopre", "manthan3-noselfsub",
                     "manthan3-emulated", "expansion", "pedant", "skolem",
                     "bdd"}
         # The PySAT engine registers only where python-sat is installed,
@@ -101,13 +100,13 @@ class TestRegistry:
     def test_pipeline_specs_are_declarative(self):
         """Manthan3 variants are data — overrides + phase list — and
         build engines that carry the spec's name."""
-        spec = ENGINE_SPECS["manthan3-fresh"]
+        spec = ENGINE_SPECS["manthan3-emulated"]
         assert isinstance(spec, PipelineEngineSpec)
-        assert spec.overrides == {"incremental": False}
+        assert spec.overrides == {"sat_backend": "python-emulated"}
         assert spec.phases is None          # default phase list
         engine = spec.build(seed=7)
-        assert engine.name == "manthan3-fresh"
-        assert engine.config.incremental is False
+        assert engine.name == "manthan3-emulated"
+        assert engine.config.sat_backend == "python-emulated"
         assert engine.config.seed == 7
 
     def test_unknown_engine_raises(self):

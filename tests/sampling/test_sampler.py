@@ -88,20 +88,12 @@ class TestPersistentSolver:
         assert sampler._solver is solver
         assert sampler.stats()["calls"] == 10
 
-    def test_fresh_fallback_builds_no_persistent_solver(self):
-        cnf = CNF([[1, 2]])
-        sampler = Sampler(cnf, rng=8, incremental=False)
-        models = sampler.draw(10)
-        assert sampler._solver is None
-        assert all(cnf.evaluate(m) for m in models)
-
-    def test_both_modes_sample_models_and_stay_diverse(self):
+    def test_persistent_samples_are_models_and_stay_diverse(self):
         cnf = CNF([[1, 2], [-1, 3], [-2, -3]])
-        for incremental in (True, False):
-            models = sample_models(cnf, 40, rng=6, incremental=incremental)
-            assert all(cnf.evaluate(m) for m in models)
-            distinct = {tuple(sorted(m.items())) for m in models}
-            assert len(distinct) >= 2, incremental
+        models = sample_models(cnf, 40, rng=6)
+        assert all(cnf.evaluate(m) for m in models)
+        distinct = {tuple(sorted(m.items())) for m in models}
+        assert len(distinct) >= 2
 
     def test_persistent_deterministic_under_seed(self):
         cnf = CNF([[1, 2, 3]], num_vars=3)
@@ -123,27 +115,16 @@ class TestStats:
            [-1, -3], [-1, -5], [-3, -5],
            [-2, -4], [-2, -6], [-4, -6]]
 
-    def test_both_modes_report_conflicts(self):
-        for incremental in (True, False):
-            sampler = Sampler(CNF(self.PHP), rng=9,
-                              incremental=incremental)
-            models = sampler.draw(3)
-            assert models == []
-            stats = sampler.stats()
-            assert stats["calls"] == 1
-            assert stats["conflicts"] > 0, incremental
-
-    def test_fresh_mode_accumulates_across_solvers(self):
-        sampler = Sampler(CNF(self.PHP), rng=9, incremental=False)
-        sampler.draw(1)
-        first = sampler.stats()["conflicts"]
-        assert first > 0
-        sampler.draw(1)
-        # The second fresh solver's conflicts are banked on top.
-        assert sampler.stats()["conflicts"] > first
+    def test_reports_conflicts(self):
+        sampler = Sampler(CNF(self.PHP), rng=9)
+        models = sampler.draw(3)
+        assert models == []
+        stats = sampler.stats()
+        assert stats["calls"] == 1
+        assert stats["conflicts"] > 0
 
     def test_stats_before_any_draw(self):
-        sampler = Sampler(CNF([[1]]), incremental=False)
+        sampler = Sampler(CNF([[1]]))
         assert sampler.stats() == {"calls": 0, "conflicts": 0,
                                    "backend": "python",
                                    "backend_fallback": None,
